@@ -3,11 +3,18 @@
 Each rule replaces one part (or cancels a part/negative pair) with an
 equivalent multiset of smaller parts.  Every application strictly decreases
 the sum of squared part sizes, so iteration terminates.
+
+`apply_once` and `normalize_trace` are the literal, preference-ordered
+rewriter.  Because every rule but beta rewrites a single part, `normalize`
+reaches the same fixpoint part by part: it merges each part's memoized normal
+form (computed once by the literal rewriter) and then cancels parts against
+their negatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import Game, canonical, flip
 
@@ -95,16 +102,30 @@ def apply_once(g: Game) -> tuple[RewriteRule, Game] | None:
 
 
 def normalize(g: Game) -> Game:
-    """Iterate apply_once to the fixpoint; result is equivalent to g."""
-    while True:
-        step = apply_once(g)
-        if step is None:
-            return g
-        g = step[1]
+    """The standard form of g: the fixpoint of apply_once, built per part."""
+    counts: dict[str, int] = {}
+    for p in g.parts:
+        for q in _part_form(p):
+            counts[q] = counts.get(q, 0) + 1
+    kept: list[str] = []
+    for p, n in counts.items():
+        partner = canonical(flip(p))
+        n = n % 2 if partner == p else n - counts.get(partner, 0)
+        if n > 0:
+            kept += [p] * n
+    kept.sort()
+    return Game(tuple(kept))
+
+
+@lru_cache(maxsize=None)
+def _part_form(part: str) -> tuple[str, ...]:
+    """Normal form of a lone canonical part, by the literal rewriter."""
+    return normalize_trace(Game((part,)))[0].parts
 
 
 def normalize_trace(g: Game) -> tuple[Game, list[tuple[str, Game]]]:
-    """Like normalize, but also returns the (rule name, game) step list."""
+    """Iterate apply_once to the fixpoint, recording each (rule name, game)
+    step; the literal reference that normalize is tested against."""
     trace: list[tuple[str, Game]] = []
     while True:
         step = apply_once(g)

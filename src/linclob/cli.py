@@ -42,8 +42,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=26,
                            help="max total stones the solver will accept")
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface stability; search is deterministic")
 
     p = sub.add_parser("solve", help="outcome class of a position")
     p.add_argument("position")
@@ -185,13 +183,23 @@ def _verify_one(stones: int, ruleset_name: str):
     return verify_start(stones, Ruleset(ruleset_name))
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _verify(args) -> int:
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     starts = [s for s in range(args.start, args.stop + 1) if s % 2 == 0]
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
               file=sys.stderr)
         starts.remove(6)
     starts = [s for s in starts if s >= 4]
+    if not starts:
+        return _usage_error(f"no even start of at least 4 stones in "
+                            f"{args.start}..{args.stop}")
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -217,15 +225,22 @@ def _verify(args) -> int:
 
 
 def _check(args) -> int:
+    for flag, value in (("--max-stones", args.max_stones),
+                        ("--max-parts", args.max_parts)):
+        if value is not None and value < 1:
+            return _usage_error(f"{flag} must be at least 1, got {value}")
+    max_stones = args.max_stones
+    if max_stones is None:
+        max_stones = 15 if args.suite == "u-closure" else 18
     if args.suite == "asf":
         report = check_asf_soundness(SolveCache(max_stones=args.budget,
                                                 order="fast"))
     elif args.suite == "theorem-right":
-        report = check_theorem_right(args.max_stones or 18, args.max_parts)
+        report = check_theorem_right(max_stones, args.max_parts)
     elif args.suite == "theorem-left":
-        report = check_theorem_left(args.max_stones or 18, args.max_parts)
+        report = check_theorem_left(max_stones, args.max_parts)
     else:
-        report = check_u_closure(args.max_stones or 15)
+        report = check_u_closure(max_stones)
     _emit(args, f"theorem={report.theorem} "
                 f"instances={report.instances_checked} "
                 f"failures={len(report.failures)}")

@@ -9,6 +9,7 @@ dropped because it allows no move (it is the zero game).
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -31,9 +32,12 @@ def opponent(color: str) -> str:
     return WHITE if color == BLACK else BLACK
 
 
+_FLIP = str.maketrans("ox", "xo")
+
+
 def flip(stones: str) -> str:
     """Swap the color of every stone."""
-    return stones.translate(str.maketrans("ox", "xo"))
+    return stones.translate(_FLIP)
 
 
 def canonical(stones: str) -> str:
@@ -117,7 +121,11 @@ def legal_moves(g: Game, player: str) -> list[Move]:
 
 
 def apply_move(g: Game, m: Move) -> Game:
-    """Apply a clobber; the part splits at the vacated cell."""
+    """Apply a clobber; the part splits at the vacated cell.
+
+    The untouched parts are already canonical and sorted, so only the two
+    new pieces are canonicalised, filtered and inserted in order.
+    """
     if not (0 <= m.part_index < len(g.parts)):
         raise IllegalMove(f"no part at index {m.part_index}")
     part = g.parts[m.part_index]
@@ -128,10 +136,12 @@ def apply_move(g: Game, m: Move) -> Game:
         raise IllegalMove(f"stones at {m.from_index},{m.to_index} have the same color")
     cells = list(part)
     cells[t] = cells[f]
-    left = "".join(cells[:f])
-    right = "".join(cells[f + 1:])
-    rest = list(g.parts[:m.part_index]) + list(g.parts[m.part_index + 1:])
-    return Game.of(rest + [left, right])
+    parts = list(g.parts)
+    del parts[m.part_index]
+    for piece in ("".join(cells[:f]), "".join(cells[f + 1:])):
+        if piece and not is_monochromatic(piece):
+            insort(parts, canonical(piece))
+    return Game(tuple(parts))
 
 
 def successors(g: Game, player: str) -> list[Game]:

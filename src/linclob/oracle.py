@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import BLACK, WHITE, Game, add, apply_move, legal_moves, negate, opponent
+from .core import BLACK, WHITE, Game, add, negate, opponent, successors
 
 DEFAULT_MAX_STONES = 26
 
@@ -53,7 +53,7 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
     hit = cache.table.get(key)
     if hit is not None:
         return hit
-    children = _children(parts, player)
+    children = [c.parts for c in successors(Game(parts), player)]
     if cache.order == "fast":
         children.sort(key=lambda c: (sum(len(p) for p in c), c))
     opp = opponent(player)
@@ -64,19 +64,6 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
             break
     cache.table[key] = result
     return result
-
-
-def _children(parts: tuple[str, ...], player: str) -> list[tuple[str, ...]]:
-    """Distinct successor keys, in deterministic move order."""
-    g = Game(parts)
-    seen: set[tuple[str, ...]] = set()
-    out: list[tuple[str, ...]] = []
-    for m in legal_moves(g, player):
-        child = apply_move(g, m).parts
-        if child not in seen:
-            seen.add(child)
-            out.append(child)
-    return out
 
 
 def outcome(g: Game, cache: SolveCache) -> OutcomeClass:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .core import (
     BLACK, Game, Move, alternating, apply_move, canonical, expand_shorthand,
@@ -41,6 +42,7 @@ class StrategyMove:
     result: Game  # normalized position after the move
 
 
+@lru_cache(maxsize=None)
 def _game(*tokens: str) -> Game:
     return Game.of(expand_shorthand(t) for t in tokens)
 

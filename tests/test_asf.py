@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linclob.core import Game, parse_position
+from linclob.core import Game, canonical, flip, is_monochromatic, parse_position
 from linclob.asf import apply_once, normalize, normalize_trace, potential, rule_table
 from linclob.oracle import SolveCache, equivalent
 
@@ -95,3 +97,38 @@ def test_each_step_decreases_potential(g):
 def test_normalize_preserves_equivalence(g):
     cache = SolveCache(order="fast")
     assert equivalent(g, normalize(g), cache)
+
+
+def _small_parts(max_stones: int) -> list[str]:
+    """Every distinct canonical non-monochromatic part of 2..max_stones stones."""
+    return sorted({canonical("".join(cells))
+                   for k in range(2, max_stones + 1)
+                   for cells in product("ox", repeat=k)
+                   if not is_monochromatic("".join(cells))})
+
+
+def test_normalize_matches_literal_reference_on_small_sums():
+    # Every sum of at most two parts of 2..8 stones.
+    pool = _small_parts(8)
+    sums = [Game(())] + [Game((p,)) for p in pool]
+    sums += [Game.of([p, q]) for i, p in enumerate(pool) for q in pool[i:]]
+    mismatches = [g for g in sums if normalize(g) != normalize_trace(g)[0]]
+    assert mismatches == []
+
+
+@st.composite
+def sums_with_negatives(draw):
+    """1-5 parts where some parts come with the negative of the part or of
+    one piece of its standard form."""
+    base = draw(st.lists(st.text(alphabet="ox", min_size=1, max_size=10),
+                         min_size=1, max_size=3))
+    pieces = [q for p in base for q in normalize(Game.of([p])).parts]
+    negated = draw(st.lists(st.sampled_from(base + pieces) if pieces
+                            else st.sampled_from(base), max_size=5 - len(base)))
+    return Game.of(base + [flip(p) for p in negated])
+
+
+@given(sums_with_negatives())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_literal_reference(g):
+    assert normalize(g) == normalize_trace(g)[0]

@@ -74,6 +74,32 @@ def test_verify_jobs(capsys):
     assert "n=4" in out and "n=6" in out
 
 
+def test_verify_rejects_runs_that_check_nothing(capsys):
+    assert run(["verify", "--from", "8", "--to", "4"]) == 2
+    assert run(["verify", "--from", "6", "--to", "6"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_positive_jobs(capsys):
+    assert run(["verify", "--from", "8", "--to", "8", "--jobs", "0"]) == 2
+    assert run(["verify", "--from", "8", "--to", "8", "--jobs", "-3"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_check_rejects_bounds_below_one(capsys):
+    assert run(["check", "u-closure", "--max-stones", "0"]) == 2
+    assert run(["check", "theorem-right", "--max-stones", "-5"]) == 2
+    assert run(["check", "theorem-left", "--max-parts", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_check_default_max_stones(capsys):
+    assert run(["check", "u-closure"]) == 0
+    default = capsys.readouterr().out
+    assert run(["check", "u-closure", "--max-stones", "15"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_check_suites(capsys):
     assert run(["check", "u-closure", "--max-stones", "10"]) == 0
     assert run(["check", "theorem-right", "--max-stones", "12", "--max-parts", "2"]) == 0

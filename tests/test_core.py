@@ -77,6 +77,23 @@ def test_apply_move_rejects_illegal():
         apply_move(Game.of(["oxox"]), Move(3, 1, 2))  # no such part
 
 
+def _apply_move_reference(g: Game, m: Move) -> Game:
+    """Re-canonicalise every part after the clobber (the plain construction)."""
+    part = g.parts[m.part_index]
+    f, t = m.from_index - 1, m.to_index - 1
+    cells = list(part)
+    cells[t] = cells[f]
+    rest = list(g.parts[:m.part_index]) + list(g.parts[m.part_index + 1:])
+    return Game.of(rest + ["".join(cells[:f]), "".join(cells[f + 1:])])
+
+
+@given(games)
+def test_apply_move_matches_full_recanonicalisation(g):
+    for player in (BLACK, WHITE):
+        for m in legal_moves(g, player):
+            assert apply_move(g, m) == _apply_move_reference(g, m)
+
+
 @given(games.filter(lambda g: g.parts))
 def test_moves_reduce_stone_count(g):
     # one stone is captured; monochromatic pieces may drop out as well

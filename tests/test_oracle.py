@@ -49,6 +49,19 @@ def test_orders_agree(cache):
         assert outcome(g, counted) == outcome(g, cache)
 
 
+def test_node_counts_per_order():
+    # Memo sizes pin the move order and the dedupe of the children.
+    expected = {"a8": (21, 10), "oo7 + a2": (23, 10), "oo5oo + ox": (8, 8),
+                "xxo + a4 + o5": (58, 46), "a12": (164, 120)}
+    for text, sizes in expected.items():
+        got = []
+        for order in ("counted", "fast"):
+            cache = SolveCache(order=order)
+            outcome(parse_position(text), cache)
+            got.append(len(cache.table))
+        assert tuple(got) == sizes, text
+
+
 parts = st.text(alphabet="ox", min_size=1, max_size=5)
 games = st.lists(parts, min_size=0, max_size=3).map(Game.of).filter(
     lambda g: g.stones() <= 12)
