@@ -146,7 +146,7 @@ def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
                 if not equivalent(lhs, Game(), cache):
                     report.failures.append((rule.name, p))
             continue
-        rhs = Game(rule.rhs)
+        rhs = Game.of(rule.rhs)
         for p in sorted(rule.lhs):
             report.instances_checked += 1
             if not equivalent(Game.of([p]), rhs, cache):

@@ -123,8 +123,8 @@ def sums_with_negatives(draw):
     base = draw(st.lists(st.text(alphabet="ox", min_size=1, max_size=10),
                          min_size=1, max_size=3))
     pieces = [q for p in base for q in normalize(Game.of([p])).parts]
-    negated = draw(st.lists(st.sampled_from(base + pieces) if pieces
-                            else st.sampled_from(base), max_size=5 - len(base)))
+    negated = draw(st.lists(st.sampled_from(base + pieces),
+                            max_size=5 - len(base)))
     return Game.of(base + [flip(p) for p in negated])
 
 
