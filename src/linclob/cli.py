@@ -15,7 +15,9 @@ from .core import (
     BLACK, WHITE, ParseError, format_game, legal_moves, parse_position,
 )
 from .asf import normalize, normalize_trace
-from .oracle import BudgetExceeded, SolveCache, equivalent, outcome
+from .oracle import (
+    DEFAULT_MAX_STONES, BudgetExceeded, SolveCache, equivalent, outcome,
+)
 from .strategy import NotInScope, Ruleset, StrategyGap, choose_left_move
 from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
 from .verifier import (
@@ -28,6 +30,14 @@ EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# The bounds each `check` suite reads; any other bound given is a usage error.
+_CHECK_BOUNDS = {
+    "asf": ("--budget",),
+    "theorem-right": ("--max-stones", "--max-parts"),
+    "theorem-left": ("--max-stones", "--max-parts"),
+    "u-closure": ("--max-stones",),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="linclob",
@@ -39,7 +49,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=["stones", "short"],
                            default="short")
         if budget:
-            p.add_argument("--budget", type=int, default=26,
+            p.add_argument("--budget", type=int, default=DEFAULT_MAX_STONES,
                            help="max total stones the solver will accept")
         p.add_argument("--quiet", action="store_true")
 
@@ -79,14 +89,18 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", choices=["basic", "improved"], default="basic")
     p.add_argument("--csv", dest="csv_path")
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, fmt=False)
 
     p = sub.add_parser("check", help="bounded theorem property suites")
-    p.add_argument("suite", choices=["asf", "theorem-right", "theorem-left",
-                                     "u-closure"])
-    p.add_argument("--max-stones", type=int, default=None)
-    p.add_argument("--max-parts", type=int, default=3)
-    common(p, budget=True)
+    p.add_argument("suite", choices=list(_CHECK_BOUNDS))
+    p.add_argument("--max-stones", type=int, default=None,
+                   help="theorem-* and u-closure: max stones per game or part")
+    p.add_argument("--max-parts", type=int, default=None,
+                   help="theorem-*: max parts per game (default 3)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="asf: max total stones the solver will accept "
+                        f"(default {DEFAULT_MAX_STONES})")
+    common(p, fmt=False)
     return top
 
 
@@ -225,20 +239,26 @@ def _verify(args) -> int:
 
 
 def _check(args) -> int:
-    for flag, value in (("--max-stones", args.max_stones),
-                        ("--max-parts", args.max_parts)):
-        if value is not None and value < 1:
+    bounds = {"--max-stones": args.max_stones, "--max-parts": args.max_parts,
+              "--budget": args.budget}
+    for flag, value in bounds.items():
+        if value is None:
+            continue
+        if flag not in _CHECK_BOUNDS[args.suite]:
+            return _usage_error(f"check {args.suite} does not read {flag}")
+        if flag != "--budget" and value < 1:
             return _usage_error(f"{flag} must be at least 1, got {value}")
     max_stones = args.max_stones
     if max_stones is None:
         max_stones = 15 if args.suite == "u-closure" else 18
+    max_parts = 3 if args.max_parts is None else args.max_parts
+    budget = DEFAULT_MAX_STONES if args.budget is None else args.budget
     if args.suite == "asf":
-        report = check_asf_soundness(SolveCache(max_stones=args.budget,
-                                                order="fast"))
+        report = check_asf_soundness(SolveCache(max_stones=budget, order="fast"))
     elif args.suite == "theorem-right":
-        report = check_theorem_right(max_stones, args.max_parts)
+        report = check_theorem_right(max_stones, max_parts)
     elif args.suite == "theorem-left":
-        report = check_theorem_left(max_stones, args.max_parts)
+        report = check_theorem_left(max_stones, max_parts)
     else:
         report = check_u_closure(max_stones)
     _emit(args, f"theorem={report.theorem} "

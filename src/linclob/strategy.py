@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterator
 
 from .core import (
     BLACK, Game, Move, alternating, apply_move, canonical, expand_shorthand,
@@ -60,13 +61,19 @@ def _replaced(g: Game, removed: Game, added: Game) -> Game:
     return normalize(Game.of(parts + list(added.parts)))
 
 
+def _left_moves(g: Game,
+                on_part: str | None = None) -> Iterator[tuple[Move, Game]]:
+    """Each Left move (optionally only those on a given part) with its
+    normalized result."""
+    for m in legal_moves(g, BLACK):
+        if on_part is None or g.parts[m.part_index] == on_part:
+            yield m, normalize(apply_move(g, m))
+
+
 def _find_move(g: Game, expected: Game, rule_id: str,
                on_part: str | None = None) -> StrategyMove:
     """The first Left move (optionally on a given part) reaching `expected`."""
-    for m in legal_moves(g, BLACK):
-        if on_part is not None and g.parts[m.part_index] != on_part:
-            continue
-        result = normalize(apply_move(g, m))
+    for m, result in _left_moves(g, on_part):
         if result == expected:
             return StrategyMove(rule_id, m, result)
     raise StrategyGap(f"rule {rule_id}: no move on {g} reaches {expected}")
@@ -106,23 +113,6 @@ def improved_override(g: Game) -> StrategyMove | None:
         return None
 
 
-def rule2_fallback(g: Game) -> StrategyMove:
-    """Derived rule 2: shorten the oA' part oo(2t+1) to oo(2t-2); if that
-    misses the target family, search all Left moves for one that lands."""
-    p = _smallest(g.parts, "oAprime")
-    if p is None:
-        raise NotInScope(f"rule 2 needs an oA' part in {g}")
-    shortened = _game(f"oo{len(p) - 3}")
-    expected = _replaced(g, Game.of([p]), shortened)
-    if in_left_target(expected):
-        return _find_move(g, expected, "2", on_part=p)
-    for m in legal_moves(g, BLACK):
-        result = normalize(apply_move(g, m))
-        if in_left_target(result):
-            return StrategyMove("2-fallback", m, result)
-    raise StrategyGap(f"rule 2: no move on {g} reaches the target family")
-
-
 _OO6, _A4, _A2, _OOX = (canonical(expand_shorthand(t))
                         for t in ("oo6", "a4", "a2", "oox"))
 
@@ -132,8 +122,8 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
 
     If the mandated result falls outside S1 ∪ S2 ∪ LL ∪ {0} but some Left
     move does land there, that move is taken instead (rule id suffixed with
-    "-fallback", mirroring rule 2's fallback).  When no in-target move exists
-    the mandated move stands; the bounded theorem checks surface such games.
+    "-fallback").  When no in-target move exists the mandated move stands;
+    the bounded theorem checks surface such games.
     """
     g = normalize(g)
     if not g.parts:
@@ -145,8 +135,7 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     chosen = _rule_move(g)
     if in_left_target(chosen.result):
         return chosen
-    for m in legal_moves(g, BLACK):
-        result = normalize(apply_move(g, m))
+    for m, result in _left_moves(g):
         if in_left_target(result):
             return StrategyMove(chosen.rule_id + "-fallback", m, result)
     return chosen
@@ -168,8 +157,9 @@ def _rule_move(g: Game) -> StrategyMove:
         return _row(g, "1d", one([p]), _game(f"o{len(p) - 3}"), on_part=p)
 
     # Rule 2: oA' non-empty.
-    if _smallest(g.parts, "oAprime") is not None:
-        return rule2_fallback(g)
+    p = _smallest(g.parts, "oAprime")
+    if p is not None:
+        return _row(g, "2", one([p]), _game(f"oo{len(p) - 3}"), on_part=p)
 
     # Rule 3: oOo' non-empty.
     p = _smallest(g.parts, "oOoprime")
@@ -265,9 +255,8 @@ def rule_rows_unique(max_stones: int = 30) -> list[str]:
     for rule_id, part, tokens in cases:
         g = _game(part)
         expected = normalize(_game(*tokens))
-        hits = {normalize(apply_move(g, m)).parts
-                for m in legal_moves(g, BLACK)
-                if normalize(apply_move(g, m)) == expected}
+        hits = {result.parts for _, result in _left_moves(g)
+                if result == expected}
         if len(hits) != 1:
             bad.append(f"{rule_id}:{part}")
     return bad

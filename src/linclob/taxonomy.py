@@ -99,6 +99,14 @@ def in_U(part: str) -> bool:
     return any(in_shape(part, name) for name in _SHAPES)
 
 
+def u_parts(max_stones: int) -> list[str]:
+    """All canonical U parts with at most max_stones stones, sorted by
+    (length, string)."""
+    parts = {canonical(s) for k in range(1, max_stones + 1) for name in _SHAPES
+             if (s := _shape_string(name, k)) is not None}
+    return sorted(parts, key=lambda p: (len(p), p))
+
+
 # Count-vector slot order: (a, b, c, d, e, f, y, z).
 _SLOT_FLAGS = ("Oprime", "oOprime", "oOoprime", "I", "XXO", "OO8", "Aprime", "oAprime")
 
@@ -174,13 +182,7 @@ def in_left_target(g: Game) -> bool:
 
 def k_parts(max_stones: int) -> list[str]:
     """All count-vector-class parts with at most max_stones stones, sorted."""
-    parts = set()
-    for k in range(1, max_stones + 1):
-        for name in _SHAPES:
-            s = _shape_string(name, k)
-            if s is not None and in_K(canonical(s)):
-                parts.add(canonical(s))
-    return sorted(parts, key=lambda p: (len(p), p))
+    return [p for p in u_parts(max_stones) if in_K(p)]
 
 
 def enumerate_s_games(max_stones: int = 18, max_parts: int = 3) -> Iterator[Game]:

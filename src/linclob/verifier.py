@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .core import BLACK, WHITE, Game, alternating, apply_move, legal_moves
+from .core import (
+    BLACK, WHITE, Game, alternating, apply_move, canonical, flip, legal_moves,
+)
 from .asf import normalize, rule_table
 from .oracle import SolveCache, equivalent
 from .strategy import Ruleset, StrategyGap, choose_left_move
 from .taxonomy import (
-    SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class,
+    SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
 
 Memo = dict[tuple[tuple[str, ...], str], bool]
@@ -139,7 +142,6 @@ def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
     for rule in rule_table():
         if rule.lhs is None:
             # Pair-cancellation: p + (-p) must be equivalent to 0.
-            from .core import canonical, flip
             for p in _BETA_SAMPLES:
                 lhs = Game.of([p, canonical(flip(p))])
                 report.instances_checked += 1
@@ -154,57 +156,37 @@ def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
     return report
 
 
-def _part_moves(s: str, player: str | None = None) -> list[tuple[str, str]]:
-    """Pieces (left, right) produced by each clobber on a lone part."""
-    out = []
-    for f in range(len(s)):
-        if player is not None and s[f] != player:
-            continue
-        for t in (f - 1, f + 1):
-            if 0 <= t < len(s) and s[t] != s[f]:
-                cells = list(s)
-                cells[t] = cells[f]
-                out.append(("".join(cells[:f]), "".join(cells[f + 1:])))
-    return out
-
-
-def _u_parts(max_stones: int) -> list[str]:
-    from .core import canonical
-    from .taxonomy import _SHAPES, _shape_string
-    parts = set()
-    for k in range(1, max_stones + 1):
-        for name in _SHAPES:
-            s = _shape_string(name, k)
-            if s is not None:
-                parts.add(canonical(s))
-    return sorted(parts, key=lambda p: (len(p), p))
+def _pieces_after_one_move(part: str) -> Iterator[tuple[str, ...]]:
+    """The pieces left by each clobber of either player on a lone part."""
+    g = Game.of([part])
+    for player in (BLACK, WHITE):
+        for m in legal_moves(g, player):
+            yield apply_move(g, m).parts
 
 
 def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremReport:
     """Moves on U parts stay in U; every U part up to `reach_stones` appears
     within two moves of play from some even alternating part."""
-    from .core import canonical
     report = TheoremReport("UClosure", 0)
-    for u in _u_parts(max_stones):
-        for left, right in _part_moves(u):
+    for u in u_parts(max_stones):
+        for pieces in _pieces_after_one_move(u):
             report.instances_checked += 1
-            for piece in (left, right):
-                if piece and not in_U(piece):
+            for piece in pieces:
+                if not in_U(piece):
                     report.failures.append((u, piece))
 
     # Reachability: two moves by either player (the second player can be the
     # same as the first, standing in for play elsewhere in a larger sum).
     reachable: set[str] = set()
     for k in range(2, reach_stones + 3, 2):
-        a = alternating(k, "o")
-        reachable.add(canonical(a))
-        for one, two in _part_moves(a):
-            pieces = [p for p in (one, two) if p]
-            reachable.update(canonical(p) for p in pieces)
+        a = canonical(alternating(k, "o"))
+        reachable.add(a)
+        for pieces in _pieces_after_one_move(a):
+            reachable.update(pieces)
             for piece in pieces:
-                for one2, two2 in _part_moves(piece):
-                    reachable.update(canonical(p) for p in (one2, two2) if p)
-    for u in _u_parts(reach_stones):
+                for pieces2 in _pieces_after_one_move(piece):
+                    reachable.update(pieces2)
+    for u in u_parts(reach_stones):
         if len(set(u)) < 2:
             continue  # trivial parts allow no move and are outside the claim
         report.instances_checked += 1

@@ -93,6 +93,36 @@ def test_check_rejects_bounds_below_one(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("suite, flag", [
+    ("asf", "--max-stones"), ("asf", "--max-parts"),
+    ("u-closure", "--max-parts"), ("u-closure", "--budget"),
+    ("theorem-right", "--budget"), ("theorem-left", "--budget"),
+])
+def test_check_rejects_bounds_the_suite_does_not_read(capsys, suite, flag):
+    assert run(["check", suite, flag, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and suite in captured.err
+
+
+def test_check_asf_reads_budget(capsys):
+    # the pair-cancellation samples need 10 stones
+    assert run(["check", "asf", "--budget", "4"]) == 3
+
+
+def test_check_default_max_parts(capsys):
+    assert run(["check", "theorem-right", "--max-stones", "12"]) == 0
+    default = capsys.readouterr().out
+    assert run(["check", "theorem-right", "--max-stones", "12",
+                "--max-parts", "3"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_verify_and_check_have_no_format_flag():
+    assert run(["verify", "--from", "8", "--to", "8", "--format", "short"]) == 2
+    assert run(["check", "u-closure", "--format", "stones"]) == 2
+
+
 def test_check_default_max_stones(capsys):
     assert run(["check", "u-closure"]) == 0
     default = capsys.readouterr().out

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from linclob.core import Game, parse_position
@@ -6,7 +8,7 @@ from linclob.strategy import (
     NotInScope, Ruleset, StrategyMove, choose_left_move, improved_override,
     rule_rows_unique,
 )
-from linclob.taxonomy import in_left_target
+from linclob.taxonomy import enumerate_s_games, in_left_target
 
 
 def norm(text: str) -> Game:
@@ -119,8 +121,27 @@ def test_known_target_gap_keeps_mandated_move():
     assert not in_left_target(sm.result)
 
 
+# Rule ids chosen over enumerate_s_games(18, 3); the spiral override never
+# applies within these bounds, so both rulesets give the same histogram.
+_RULE_HISTOGRAM_18_3 = {
+    "1a": 1, "1b": 1, "1d": 46, "2": 21, "3a": 1, "3c": 3, "3d": 16, "3e": 10,
+    "4a": 1, "4b": 1, "4c": 14, "4d": 8, "4e": 4, "4f": 2, "4g": 1,
+    "5a": 1, "5b": 1, "5c": 4, "5d": 1, "5e": 5, "5f": 5, "5g": 6, "5h": 12,
+    "5i": 16, "5j": 20, "5j-fallback": 1,
+    "6a": 6, "6b": 5, "6c": 10, "6d": 9, "7a": 4, "7b": 3,
+}
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_rule_histogram_on_enumerated_s_games(ruleset):
+    games = list(enumerate_s_games(18, 3))
+    assert len(games) == 239
+    counts = Counter(choose_left_move(g, ruleset).rule_id for g in games)
+    assert dict(counts) == _RULE_HISTOGRAM_18_3
+
+
 def test_results_avoid_q():
-    from linclob.taxonomy import enumerate_s_games, in_Q
+    from linclob.taxonomy import in_Q
     for g in enumerate_s_games(14, 2):
         assert not in_Q(choose_left_move(g).result), g
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from linclob.core import Game, canonical, expand_shorthand, parse_position
@@ -5,7 +7,7 @@ from linclob.asf import normalize
 from linclob.taxonomy import (
     NotInK, SClass, classify_part, count_vector, enumerate_s_games, in_K,
     in_LL, in_Q, in_S0, in_U, in_left_target, in_shape, k_parts, part_slot,
-    s_class,
+    s_class, u_parts,
 )
 
 
@@ -74,6 +76,17 @@ def test_count_vector_slots():
 def test_in_u_covers_negatives_too():
     assert in_U("xoxox") and in_U("xxoxo") and in_U("oxoxo")
     assert not in_U("ooxxo")
+
+
+def test_u_parts_is_every_u_part():
+    brute = {canonical("".join(cells))
+             for k in range(1, 13) for cells in product("ox", repeat=k)
+             if in_U("".join(cells))}
+    parts = u_parts(12)
+    assert parts == sorted(brute, key=lambda p: (len(p), p))
+    assert len(parts) == 55
+    for n in (3, 12, 18):
+        assert set(k_parts(n)) <= set(u_parts(n))
 
 
 def test_q_and_ll_exact_matching():

@@ -80,8 +80,12 @@ def test_theorem_left_full_bound_has_single_known_gap():
 
 
 def test_u_closure_small():
-    report = check_u_closure(12, 10)
-    assert report.ok
+    # one instance per clobber of either player on each U part, plus one per
+    # non-trivial U part tested for reachability; the counts were recorded
+    # with an independent clobber generator on raw stone strings
+    for bounds, instances in (((15, 12), 975), ((12, 10), 581)):
+        report = check_u_closure(*bounds)
+        assert (report.instances_checked, report.failures) == (instances, []), bounds
 
 
 def test_asf_soundness_report():
