@@ -1,13 +1,14 @@
 """Linear clobber: engine, standard-form rewriter, strategy, and verifier."""
 
 from .core import (
-    BLACK, WHITE, EmptyPosition, Game, IllegalMove, Move, ParseError,
+    BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
+    ParseError,
     add, alternating, apply_move, canonical, expand_shorthand, flip,
     format_game, legal_moves, negate, opponent, parse_position, successors,
 )
 from .asf import normalize, normalize_trace, potential, rule_table
 from .oracle import (
-    DEFAULT_MAX_STONES, BudgetExceeded, OutcomeClass, SolveCache,
+    DEFAULT_MAX_STONES, OutcomeClass, SolveCache,
     equivalent, outcome, wins_moving_first,
 )
 from .taxonomy import (
@@ -21,7 +22,8 @@ from .strategy import (
 )
 from .verifier import (
     TheoremReport, VerifyStats, check_asf_soundness, check_theorem_left,
-    check_theorem_right, check_u_closure, verify_game, verify_start,
+    check_theorem_right, check_u_closure, verify_game, verify_range,
+    verify_start,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .core import (
     BLACK, WHITE, ParseError, format_game, legal_moves, parse_position,
@@ -22,7 +21,7 @@ from .strategy import NotInScope, Ruleset, StrategyGap, choose_left_move
 from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
 from .verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_start,
+    check_u_closure, verify_range,
 )
 
 EXIT_OK = 0
@@ -55,7 +54,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="outcome class of a position")
     p.add_argument("position")
-    common(p, budget=True)
+    common(p, budget=True, fmt=False)
 
     p = sub.add_parser("normalize", help="standard form of a position")
     p.add_argument("position")
@@ -69,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moves", help="legal moves for a player")
     p.add_argument("position")
     p.add_argument("--player", choices=["L", "R"], required=True)
-    common(p)
+    common(p, fmt=False)
 
     p = sub.add_parser("best", help="Left's strategy move")
     p.add_argument("position")
@@ -79,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="test game equivalence via the oracle")
     p.add_argument("position1")
     p.add_argument("position2")
-    common(p, budget=True)
+    common(p, budget=True, fmt=False)
 
     p = sub.add_parser("verify", help="strategy verification over starts")
     p.add_argument("--from", dest="start", type=int, required=True,
@@ -88,7 +87,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="last start size in stones (even, inclusive)")
     p.add_argument("--ruleset", choices=["basic", "improved"], default="basic")
     p.add_argument("--csv", dest="csv_path")
-    p.add_argument("--jobs", type=int, default=1)
     common(p, fmt=False)
 
     p = sub.add_parser("check", help="bounded theorem property suites")
@@ -126,7 +124,7 @@ def run(argv: list[str]) -> int:
 
 def _dispatch(args) -> int:
     if args.verb == "solve":
-        g = parse_position(args.position)
+        g = parse_position(args.position, args.budget)
         cache = SolveCache(max_stones=args.budget, order="fast")
         _emit(args, outcome(g, cache).value)
         return EXIT_OK
@@ -178,8 +176,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "equiv":
-        g = parse_position(args.position1)
-        h = parse_position(args.position2)
+        g = parse_position(args.position1, args.budget)
+        h = parse_position(args.position2, args.budget - g.stones())
         cache = SolveCache(max_stones=args.budget, order="fast")
         if equivalent(g, h, cache):
             _emit(args, "equivalent")
@@ -193,18 +191,12 @@ def _dispatch(args) -> int:
     return _check(args)
 
 
-def _verify_one(stones: int, ruleset_name: str):
-    return verify_start(stones, Ruleset(ruleset_name))
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
 
 
 def _verify(args) -> int:
-    if args.jobs < 1:
-        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     starts = [s for s in range(args.start, args.stop + 1) if s % 2 == 0]
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
@@ -215,12 +207,7 @@ def _verify(args) -> int:
         return _usage_error(f"no even start of at least 4 stones in "
                             f"{args.start}..{args.stop}")
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                stats = list(pool.map(_verify_one, starts,
-                                      [args.ruleset] * len(starts)))
-        else:
-            stats = [_verify_one(s, args.ruleset) for s in starts]
+        stats = verify_range(starts, Ruleset(args.ruleset))
     except StrategyGap as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CLAIM_FAILS

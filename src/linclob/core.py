@@ -24,6 +24,10 @@ class EmptyPosition(ParseError):
     """Position text contains no stones at all."""
 
 
+class BudgetExceeded(RuntimeError):
+    """Position is larger than the configured solving budget."""
+
+
 class IllegalMove(ValueError):
     """Move is not legal on the given game."""
 
@@ -160,8 +164,20 @@ def successors(g: Game, player: str) -> list[Game]:
 # Notation
 
 
-def expand_shorthand(token: str) -> str:
-    """Expand a shorthand token (e.g. ``oo7`` or ``a4``) into a stone string."""
+def _within(token: str, stones: int, max_stones: int | None) -> None:
+    """Raise BudgetExceeded, before the token is expanded, if the part it
+    declares would take the position over `max_stones`."""
+    # A one-stone part is monochromatic and dropped, so it never counts.
+    if max_stones is not None and stones > max(max_stones, 1):
+        raise BudgetExceeded(
+            f"token {token!r} declares {stones} stones; budget left is {max_stones}")
+
+
+def expand_shorthand(token: str, max_stones: int | None = None) -> str:
+    """Expand a shorthand token (e.g. ``oo7`` or ``a4``) into a stone string.
+
+    With `max_stones`, a token declaring more stones is rejected with
+    BudgetExceeded before anything is built."""
     if token and set(token) <= {"o", "x"}:
         return token  # literal stone string (covers o, oo, xxo, oox, ...)
 
@@ -170,6 +186,7 @@ def expand_shorthand(token: str) -> str:
         k = int(m.group(1))
         if k < 2 or k % 2:
             raise ParseError(f"token {token!r}: a-parts have even length >= 2")
+        _within(token, k, max_stones)
         return "ox" * (k // 2)
 
     m = re.fullmatch(r"([ox])(\d+)", token)
@@ -177,6 +194,7 @@ def expand_shorthand(token: str) -> str:
         color, k = m.group(1), int(m.group(2))
         if k < 1 or k % 2 == 0:
             raise ParseError(f"token {token!r}: single-prefix parts have odd length")
+        _within(token, k, max_stones)
         return alternating(k, color)
 
     m = re.fullmatch(r"(oo|xx)(\d+)(oo|xx)?", token)
@@ -186,13 +204,15 @@ def expand_shorthand(token: str) -> str:
         if suffix is None:
             if k < 3:
                 raise ParseError(f"token {token!r}: doubled prefix needs length >= 3")
+            _within(token, k, max_stones)
             return color + alternating(k - 1, color)
         if k < 4:
             raise ParseError(f"token {token!r}: doubled ends need length >= 4")
-        body = alternating(k - 2, color)
-        if body[-1] != suffix[0]:
+        # the alternating body of k - 2 stones ends on `color` iff k is odd
+        if (color if k % 2 else opponent(color)) != suffix[0]:
             raise ParseError(f"token {token!r}: suffix color does not match parity")
-        return color + body + suffix[0]
+        _within(token, k, max_stones)
+        return color + alternating(k - 2, color) + suffix[0]
 
     raise ParseError(f"unrecognized shorthand token {token!r}")
 
@@ -223,8 +243,11 @@ def _is_alternating(s: str) -> bool:
     return all(a != b for a, b in zip(s, s[1:]))
 
 
-def parse_position(text: str) -> Game:
-    """Parse a stone string (``ox-oox``) or a ``+``-separated token list."""
+def parse_position(text: str, max_stones: int | None = None) -> Game:
+    """Parse a stone string (``ox-oox``) or a ``+``-separated token list.
+
+    With `max_stones`, a shorthand token that would take the position past
+    that many stones raises BudgetExceeded before it is expanded."""
     text = text.strip()
     if not text:
         raise EmptyPosition("empty position")
@@ -234,11 +257,15 @@ def parse_position(text: str) -> Game:
             raise EmptyPosition(f"no stones in {text!r}")
         return Game.of(runs)
     parts = []
+    room = max_stones
     for token in text.split("+"):
         token = token.strip()
         if not token:
             raise ParseError(f"empty token in {text!r}")
-        parts.append(expand_shorthand(token))
+        part = expand_shorthand(token, room)
+        if room is not None and not is_monochromatic(part):
+            room -= len(part)
+        parts.append(part)
     return Game.of(parts)
 
 

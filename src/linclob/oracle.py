@@ -10,13 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import BLACK, WHITE, Game, add, negate, opponent, successors
+from .core import (
+    BLACK, WHITE, BudgetExceeded, Game, add, negate, opponent, successors,
+)
 
 DEFAULT_MAX_STONES = 26
-
-
-class BudgetExceeded(RuntimeError):
-    """Position is larger than the configured solving budget."""
 
 
 class OutcomeClass(Enum):

@@ -120,12 +120,13 @@ _OO6, _A4, _A2, _OOX = (canonical(expand_shorthand(t))
 def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     """The move mandated by the first applicable rule (order 1a..7b).
 
-    If the mandated result falls outside S1 ∪ S2 ∪ LL ∪ {0} but some Left
-    move does land there, that move is taken instead (rule id suffixed with
-    "-fallback").  When no in-target move exists the mandated move stands;
-    the bounded theorem checks surface such games.
+    `g` must be in standard form (`asf.normalize`); the returned move's
+    `part_index` indexes `g.parts`.  If the mandated result falls outside
+    S1 ∪ S2 ∪ LL ∪ {0} but some Left move does land there, that move is
+    taken instead (rule id suffixed with "-fallback").  When no in-target
+    move exists the mandated move stands; the bounded theorem checks surface
+    such games.
     """
-    g = normalize(g)
     if not g.parts:
         raise NotInScope("no moves on the empty game")
     if ruleset is Ruleset.IMPROVED:
@@ -237,9 +238,9 @@ def _rule_move(g: Game) -> StrategyMove:
 
 
 def rule_rows_unique(max_stones: int = 30) -> list[str]:
-    """Self-test: each parameterized single-part row has exactly one
-    qualifying result among the moves on its part.  Returns offending rows."""
-    bad: list[str] = []
+    """Self-test: each parameterized single-part row's result is reached by
+    exactly one position among the moves on its part.  Returns offending
+    rows."""
     cases: list[tuple[str, str, list[str]]] = []
     for k in range(8, max_stones + 1, 2):
         if k not in (12,):
@@ -252,10 +253,18 @@ def rule_rows_unique(max_stones: int = 30) -> list[str]:
         cases.append(("4i", f"oo{k}", [f"o{k - 5}"]))
     for k in range(13, max_stones + 1, 2):
         cases.append(("6a", f"o{k}", [f"o{k - 2}"]))
+    return ambiguous_rows(cases)
+
+
+def ambiguous_rows(cases: list[tuple[str, str, list[str]]]) -> list[str]:
+    """The `rule_id:part` of each (rule id, part token, result tokens) row
+    whose normalized result is reached from the part by no move, or by moves
+    to more than one position before normalization."""
+    bad: list[str] = []
     for rule_id, part, tokens in cases:
         g = _game(part)
         expected = normalize(_game(*tokens))
-        hits = {result.parts for _, result in _left_moves(g)
+        hits = {apply_move(g, m).parts for m, result in _left_moves(g)
                 if result == expected}
         if len(hits) != 1:
             bad.append(f"{rule_id}:{part}")

@@ -1,17 +1,20 @@
 """Exhaustive adversarial verification and bounded theorem checks.
 
 Left plays by rule, Right tries every move; positions are re-normalized
-after every move and results memoized on (normalized game, mover).
+after every move and results memoized on (normalized game, mover), together
+with the children each node's search explored.  A range of starts shares one
+memo, and each start's node counts are read off the children it reaches.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     BLACK, WHITE, Game, alternating, apply_move, canonical, flip, legal_moves,
+    opponent,
 )
 from .asf import normalize, rule_table
 from .oracle import SolveCache, equivalent
@@ -20,16 +23,22 @@ from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
 
-Memo = dict[tuple[tuple[str, ...], str], bool]
+Parts = tuple[str, ...]
+# (normalized parts, mover) -> (mover wins, children the search explored).
+# A Left entry holds its one strategy child (none when Left cannot move); a
+# Right entry holds its distinct children in move order up to and including
+# the first refutation (none at the LL stop).  The children's mover is the
+# other player.
+Memo = dict[tuple[Parts, str], tuple[bool, tuple[Parts, ...]]]
 
 
 @dataclass
 class VerifyStats:
     n: int                 # start is a(2n)
     left_wins: bool
-    left_nodes: int        # distinct memoized Left-to-move games
-    right_nodes: int       # distinct memoized Right-to-move games
-    elapsed: float
+    left_nodes: int        # Left-to-move games the start's search reaches
+    right_nodes: int       # Right-to-move games the start's search reaches
+    elapsed: float         # seconds this start added to the memo it was given
 
 
 @dataclass
@@ -49,57 +58,86 @@ def verify_game(g: Game, ruleset: Ruleset, memo: Memo) -> bool:
     return _left_node(normalize(g).parts, ruleset, memo)
 
 
-def _left_node(parts: tuple[str, ...], ruleset: Ruleset, memo: Memo) -> bool:
+def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
     key = (parts, BLACK)
     hit = memo.get(key)
     if hit is not None:
-        return hit
+        return hit[0]
     if not parts:
-        result = False  # Left cannot move and loses
+        entry = (False, ())  # Left cannot move and loses
     else:
-        reply = choose_left_move(Game(parts), ruleset)
-        result = _right_node(reply.result.parts, ruleset, memo)
-    memo[key] = result
-    return result
+        child = choose_left_move(Game(parts), ruleset).result.parts
+        entry = (_right_node(child, ruleset, memo), (child,))
+    memo[key] = entry
+    return entry[0]
 
 
-def _right_node(parts: tuple[str, ...], ruleset: Ruleset, memo: Memo) -> bool:
+def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
     key = (parts, WHITE)
     hit = memo.get(key)
     if hit is not None:
-        return hit
+        return hit[0]
     g = Game(parts)
     if in_LL(g):
         # Certified endgames: the oracle establishes each of these is a Left
         # win with either player to move, so the rule-based search stops here.
-        memo[key] = True
+        memo[key] = (True, ())
         return True
     result = True
-    seen: set[tuple[str, ...]] = set()
+    explored: dict[Parts, None] = {}  # distinct children in move order
     for m in legal_moves(g, WHITE):
         child = normalize(apply_move(g, m)).parts
-        if child in seen:
+        if child in explored:
             continue
-        seen.add(child)
+        explored[child] = None
         if not _left_node(child, ruleset, memo):
             result = False
             break
-    memo[key] = result
+    memo[key] = (result, tuple(explored))
     return result
 
 
-def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC) -> VerifyStats:
-    """Verify the even alternating start with the given stone count."""
+def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
+    """Left and Right keys reachable from the Left root over the explored
+    children.  A node's explored children depend only on the node, so these
+    are the sizes a memo of the root's search alone would have."""
+    seen = {(root, BLACK)}
+    todo = [(root, BLACK)]
+    while todo:
+        key = todo.pop()
+        mover = opponent(key[1])
+        for child in memo[key][1]:
+            if (child, mover) not in seen:
+                seen.add((child, mover))
+                todo.append((child, mover))
+    left = sum(1 for _, mover in seen if mover == BLACK)
+    return left, len(seen) - left
+
+
+def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,
+                 memo: Memo | None = None) -> VerifyStats:
+    """Verify the even alternating start with the given stone count.
+
+    `memo` is shared with the other starts of a range (`verify_range`); a
+    fresh one is used when none is given.  The node counts are the start's
+    own either way, and `elapsed` is the time it added to the memo."""
     if stones < 4 or stones % 2 or stones == 6:
         raise ValueError(f"start must be even, >= 4, and not 6; got {stones}")
-    g = normalize(Game.of([alternating(stones, "o")]))
-    memo: Memo = {}
+    if memo is None:
+        memo = {}
+    root = normalize(Game.of([alternating(stones, "o")])).parts
     begin = time.perf_counter()
-    won = _left_node(g.parts, ruleset, memo)
+    won = _left_node(root, ruleset, memo)
+    left, right = _reached(root, memo)
     elapsed = time.perf_counter() - begin
-    left = sum(1 for (_, mover) in memo if mover == BLACK)
-    right = len(memo) - left
     return VerifyStats(stones // 2, won, left, right, elapsed)
+
+
+def verify_range(starts: Iterable[int],
+                 ruleset: Ruleset = Ruleset.BASIC) -> list[VerifyStats]:
+    """Verify each start in turn against one memo shared by the range."""
+    memo: Memo = {}
+    return [verify_start(stones, ruleset, memo) for stones in starts]
 
 
 def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -14,6 +15,20 @@ def test_solve(capsys):
 
 def test_solve_budget_exit_code(capsys):
     assert run(["solve", "a10", "--budget", "4"]) == 3
+
+
+def test_huge_token_is_rejected_before_it_is_built(capsys):
+    # a token of 10^9 stones is refused from its digits, not after expansion
+    huge = f"a{10 ** 9}"
+    begin = time.perf_counter()
+    assert run(["solve", huge, "--budget", "5"]) == 3
+    assert run(["equiv", "a4", huge]) == 3
+    assert run(["equiv", huge, "a4"]) == 3
+    assert time.perf_counter() - begin < 1.0
+    assert "budget" in capsys.readouterr().err
+    # the budget covers both sides of an equivalence test
+    assert run(["equiv", "a4", "a4", "--budget", "7"]) == 3
+    assert run(["equiv", "a4", "a4", "--budget", "8"]) == 0
 
 
 def test_parse_error_exit_code(capsys):
@@ -68,22 +83,17 @@ def test_verify_skips_six_and_writes_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["2", "4", "5"]
 
 
-def test_verify_jobs(capsys):
-    assert run(["verify", "--from", "8", "--to", "12", "--jobs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "n=4" in out and "n=6" in out
-
-
 def test_verify_rejects_runs_that_check_nothing(capsys):
     assert run(["verify", "--from", "8", "--to", "4"]) == 2
     assert run(["verify", "--from", "6", "--to", "6"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_rejects_non_positive_jobs(capsys):
-    assert run(["verify", "--from", "8", "--to", "8", "--jobs", "0"]) == 2
-    assert run(["verify", "--from", "8", "--to", "8", "--jobs", "-3"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+def test_verify_has_no_jobs_flag(capsys):
+    # a range runs in one process against one shared memo
+    assert run(["verify", "--from", "8", "--to", "12", "--jobs", "2"]) == 2
+    assert run(["verify", "--from", "8", "--to", "8", "--jobs", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_check_rejects_bounds_below_one(capsys):
@@ -121,6 +131,9 @@ def test_check_default_max_parts(capsys):
 def test_verify_and_check_have_no_format_flag():
     assert run(["verify", "--from", "8", "--to", "8", "--format", "short"]) == 2
     assert run(["check", "u-closure", "--format", "stones"]) == 2
+    assert run(["solve", "a4", "--format", "stones"]) == 2
+    assert run(["equiv", "a4", "a4", "--format", "short"]) == 2
+    assert run(["moves", "a4", "--player", "L", "--format", "short"]) == 2
 
 
 def test_check_default_max_stones(capsys):

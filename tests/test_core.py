@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linclob.core import (
-    BLACK, WHITE, EmptyPosition, Game, IllegalMove, Move, ParseError,
+    BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
+    ParseError,
     add, alternating, apply_move, canonical, expand_shorthand, flip,
     format_game, is_monochromatic, legal_moves, negate, opponent,
     parse_position, part_token, successors,
@@ -125,6 +126,21 @@ def test_expand_shorthand_rejects_bad_parity():
     for bad in ("a5", "o4", "oo0", "a0", "q3", "oo4oo", "oo5xx"):
         with pytest.raises(ParseError):
             expand_shorthand(bad)
+
+
+def test_parse_position_checks_budget_before_expanding():
+    assert parse_position("a4 + oox", 7).stones() == 7
+    with pytest.raises(BudgetExceeded):
+        parse_position("a4 + oox + a2", 8)
+    with pytest.raises(BudgetExceeded):
+        parse_position("oo7 + a10", 10)    # the second token has 3 left
+    # monochromatic parts are dropped, so they spend none of the budget
+    assert parse_position("ooo + a4 + o1", 4).parts == ("oxox",)
+    # bad parity is a parse error whatever the budget
+    with pytest.raises(ParseError):
+        parse_position(f"a{10 ** 9 + 1}", 4)
+    with pytest.raises(BudgetExceeded):
+        parse_position(f"oo{10 ** 9}xx", 4)
 
 
 def test_parse_position_both_notations():

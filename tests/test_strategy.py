@@ -5,8 +5,8 @@ import pytest
 from linclob.core import Game, parse_position
 from linclob.asf import normalize
 from linclob.strategy import (
-    NotInScope, Ruleset, StrategyMove, choose_left_move, improved_override,
-    rule_rows_unique,
+    NotInScope, Ruleset, StrategyMove, ambiguous_rows, choose_left_move,
+    improved_override, rule_rows_unique,
 )
 from linclob.taxonomy import enumerate_s_games, in_left_target
 
@@ -167,3 +167,11 @@ def test_improved_override_spiral():
 
 def test_parameterized_rows_are_unambiguous():
     assert rule_rows_unique(30) == []
+
+
+def test_ambiguous_row_is_reported():
+    # two Left moves on a6 reach a2 before normalization: oxo and oxoxx
+    assert ambiguous_rows([("planted", "a6", ["a2"])]) == ["planted:a6"]
+    # a row no move reaches is reported too; a unique row is not
+    assert ambiguous_rows([("none", "a6", ["o5"]), ("1d", "a8", ["o5"])]) \
+        == ["none:a6"]

@@ -7,7 +7,7 @@ from linclob.strategy import Ruleset
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_game, verify_start,
+    check_u_closure, verify_game, verify_range, verify_start,
 )
 
 
@@ -36,6 +36,19 @@ def test_memo_determinism():
     a = verify_start(20)
     b = verify_start(20)
     assert (a.left_nodes, a.right_nodes) == (b.left_nodes, b.right_nodes)
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_shared_memo_counts_match_separate_runs(ruleset):
+    starts = list(range(8, 31, 2))
+    alone = {s: verify_start(s, ruleset) for s in starts}
+
+    def counts(stats):
+        return {st.n: (st.left_wins, st.left_nodes, st.right_nodes)
+                for st in stats}
+    want = counts(alone.values())
+    assert counts(verify_range(starts, ruleset)) == want
+    assert counts(verify_range(starts[::-1], ruleset)) == want
 
 
 def test_agreement_with_oracle_up_to_20_stones():
