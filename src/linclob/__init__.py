@@ -3,7 +3,7 @@
 from .core import (
     BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
     ParseError,
-    add, alternating, apply_move, canonical, expand_shorthand, flip,
+    add, alternating, apply_move, canonical, clobbers, expand_shorthand, flip,
     format_game, legal_moves, negate, opponent, parse_position, successors,
 )
 from .asf import normalize, normalize_trace, potential, rule_table

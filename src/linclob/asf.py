@@ -54,9 +54,8 @@ _POSITIVE = {
 
 
 def rule_table() -> list[RewriteRule]:
-    """All rules in preference order: alpha, -alpha, beta, -beta, ..., eta, -eta."""
-    rules = [_POSITIVE["alpha"], _negative(_POSITIVE["alpha"]),
-             _BETA, RewriteRule("-beta", None, ())]
+    """All rules in preference order: alpha, -alpha, beta, gamma, ..., eta, -eta."""
+    rules = [_POSITIVE["alpha"], _negative(_POSITIVE["alpha"]), _BETA]
     for name in ("gamma", "delta", "epsilon", "zeta", "eta"):
         rules.append(_POSITIVE[name])
         rules.append(_negative(_POSITIVE[name]))

@@ -21,7 +21,7 @@ from .strategy import NotInScope, Ruleset, StrategyGap, choose_left_move
 from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
 from .verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_range,
+    check_u_closure, verify_range, MAX_START_STONES,
 )
 
 EXIT_OK = 0
@@ -197,12 +197,13 @@ def _usage_error(message: str) -> int:
 
 
 def _verify(args) -> int:
-    starts = [s for s in range(args.start, args.stop + 1) if s % 2 == 0]
+    if args.stop > MAX_START_STONES:
+        return _usage_error(f"--to {args.stop} is over the {MAX_START_STONES}-stone cap")
+    starts = [s for s in range(max(args.start, 4), args.stop + 1) if s % 2 == 0]
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
               file=sys.stderr)
         starts.remove(6)
-    starts = [s for s in starts if s >= 4]
     if not starts:
         return _usage_error(f"no even start of at least 4 stones in "
                             f"{args.start}..{args.stop}")
@@ -233,7 +234,7 @@ def _check(args) -> int:
             continue
         if flag not in _CHECK_BOUNDS[args.suite]:
             return _usage_error(f"check {args.suite} does not read {flag}")
-        if flag != "--budget" and value < 1:
+        if value < 1:
             return _usage_error(f"{flag} must be at least 1, got {value}")
     max_stones = args.max_stones
     if max_stones is None:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import re
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 BLACK = "x"
 WHITE = "o"
@@ -110,54 +112,50 @@ def add(*games: Game) -> Game:
     return Game.of(parts)
 
 
+@lru_cache(maxsize=None)
+def clobbers(part: str) -> Mapping[tuple[int, int], tuple[str, ...]]:
+    """The one statement of the move rule: every clobber on a lone part.
+
+    Maps (from, to), the 1-based cells of a stone and of the adjacent stone of
+    the other color that it takes, in scan order, to the canonical
+    non-monochromatic pieces left when the vacated cell splits the part.
+    """
+    table = {}
+    for f in range(len(part)):
+        for t in (f - 1, f + 1):
+            if 0 <= t < len(part) and part[t] != part[f]:
+                moved = part[:t] + part[f] + part[t + 1:]
+                table[f + 1, t + 1] = Game.of((moved[:f], moved[f + 1:])).parts
+    return MappingProxyType(table)
+
+
 def legal_moves(g: Game, player: str) -> list[Move]:
     """All moves for `player`, in deterministic (part, from, to) order."""
-    moves: list[Move] = []
-    opp = opponent(player)
-    for i, part in enumerate(g.parts):
-        for f in range(len(part)):
-            if part[f] != player:
-                continue
-            for t in (f - 1, f + 1):
-                if 0 <= t < len(part) and part[t] == opp:
-                    moves.append(Move(i, f + 1, t + 1))
-    return moves
+    return [Move(i, f, t) for i, part in enumerate(g.parts)
+            for f, t in clobbers(part) if part[f - 1] == player]
 
 
 def apply_move(g: Game, m: Move) -> Game:
     """Apply a clobber; the part splits at the vacated cell.
 
-    The untouched parts are already canonical and sorted, so only the two
-    new pieces are canonicalised, filtered and inserted in order.
+    The untouched parts are already canonical and sorted, so only the
+    clobber's stored pieces are inserted in order.
     """
-    if not (0 <= m.part_index < len(g.parts)):
-        raise IllegalMove(f"no part at index {m.part_index}")
-    part = g.parts[m.part_index]
-    f, t = m.from_index - 1, m.to_index - 1
-    if abs(f - t) != 1 or not (0 <= f < len(part)) or not (0 <= t < len(part)):
-        raise IllegalMove(f"cells {m.from_index},{m.to_index} not adjacent in part {part}")
-    if part[f] == part[t]:
-        raise IllegalMove(f"stones at {m.from_index},{m.to_index} have the same color")
-    cells = list(part)
-    cells[t] = cells[f]
+    part = g.parts[m.part_index] if 0 <= m.part_index < len(g.parts) else ""
+    pieces = clobbers(part).get((m.from_index, m.to_index))
+    if pieces is None:
+        raise IllegalMove(f"{m} is not a clobber on {format_game(g)}")
     parts = list(g.parts)
     del parts[m.part_index]
-    for piece in ("".join(cells[:f]), "".join(cells[f + 1:])):
-        if piece and not is_monochromatic(piece):
-            insort(parts, canonical(piece))
+    for piece in pieces:
+        insort(parts, piece)
     return Game(tuple(parts))
 
 
 def successors(g: Game, player: str) -> list[Game]:
     """Distinct positions reachable in one move, in deterministic order."""
-    seen: set[tuple[str, ...]] = set()
-    out: list[Game] = []
-    for m in legal_moves(g, player):
-        child = apply_move(g, m)
-        if child.parts not in seen:
-            seen.add(child.parts)
-            out.append(child)
-    return out
+    children = {apply_move(g, m).parts: None for m in legal_moves(g, player)}
+    return [Game(parts) for parts in children]
 
 
 # ---------------------------------------------------------------------------

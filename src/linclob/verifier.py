@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
-    BLACK, WHITE, Game, alternating, apply_move, canonical, flip, legal_moves,
-    opponent,
+    BLACK, WHITE, Game, alternating, apply_move, canonical, clobbers, flip,
+    legal_moves, opponent,
 )
 from .asf import normalize, rule_table
 from .oracle import SolveCache, equivalent
@@ -30,6 +30,10 @@ Parts = tuple[str, ...]
 # the first refutation (none at the LL stop).  The children's mover is the
 # other player.
 Memo = dict[tuple[Parts, str], tuple[bool, tuple[Parts, ...]]]
+
+# The search takes one frame per ply and each ply captures a stone: n stones
+# need n frames plus a few dozen, so 500 fits Python's default limit of 1000.
+MAX_START_STONES = 500
 
 
 @dataclass
@@ -121,8 +125,9 @@ def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,
     `memo` is shared with the other starts of a range (`verify_range`); a
     fresh one is used when none is given.  The node counts are the start's
     own either way, and `elapsed` is the time it added to the memo."""
-    if stones < 4 or stones % 2 or stones == 6:
-        raise ValueError(f"start must be even, >= 4, and not 6; got {stones}")
+    if stones < 4 or stones % 2 or stones == 6 or stones > MAX_START_STONES:
+        raise ValueError(f"start must be even, >= 4, not 6 and at most "
+                         f"{MAX_START_STONES}; got {stones}")
     if memo is None:
         memo = {}
     root = normalize(Game.of([alternating(stones, "o")])).parts
@@ -194,20 +199,12 @@ def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
     return report
 
 
-def _pieces_after_one_move(part: str) -> Iterator[tuple[str, ...]]:
-    """The pieces left by each clobber of either player on a lone part."""
-    g = Game.of([part])
-    for player in (BLACK, WHITE):
-        for m in legal_moves(g, player):
-            yield apply_move(g, m).parts
-
-
 def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremReport:
     """Moves on U parts stay in U; every U part up to `reach_stones` appears
     within two moves of play from some even alternating part."""
     report = TheoremReport("UClosure", 0)
     for u in u_parts(max_stones):
-        for pieces in _pieces_after_one_move(u):
+        for pieces in clobbers(u).values():
             report.instances_checked += 1
             for piece in pieces:
                 if not in_U(piece):
@@ -219,10 +216,10 @@ def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremRepo
     for k in range(2, reach_stones + 3, 2):
         a = canonical(alternating(k, "o"))
         reachable.add(a)
-        for pieces in _pieces_after_one_move(a):
+        for pieces in clobbers(a).values():
             reachable.update(pieces)
             for piece in pieces:
-                for pieces2 in _pieces_after_one_move(piece):
+                for pieces2 in clobbers(piece).values():
                     reachable.update(pieces2)
     for u in u_parts(reach_stones):
         if len(set(u)) < 2:

@@ -16,7 +16,7 @@ from linclob.oracle import OutcomeClass, SolveCache, equivalent, outcome
 from linclob.strategy import Ruleset
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_start,
+    check_u_closure, verify_range, verify_start,
 )
 
 from conftest import record_acceptance
@@ -25,8 +25,10 @@ _CACHE = SolveCache(order="fast")
 
 
 @lru_cache(maxsize=None)
-def _verified(stones: int, ruleset: Ruleset):
-    return verify_start(stones, ruleset)
+def _verified(stones: int):
+    """A basic start verified with its own memo; criteria 8-10 read its
+    standalone time and node counts."""
+    return verify_start(stones)
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -114,8 +116,10 @@ def test_criterion_07_u_closure():
 
 
 def test_criterion_08_verification_reproduction():
-    basic = [_verified(s, Ruleset.BASIC) for s in range(8, 51, 2)]
-    improved = [_verified(s, Ruleset.IMPROVED) for s in range(8, 61, 2)]
+    basic = [_verified(s) for s in range(8, 51, 2)]
+    # one shared memo gives the verdicts of a memo per start
+    # (test_shared_memo_counts_match_separate_runs) and searches each game once
+    improved = verify_range(range(8, 61, 2), Ruleset.IMPROVED)
     slowest = max(st.elapsed for st in basic)
     ok = (all(st.left_wins for st in basic) and
           all(st.left_wins for st in improved) and slowest <= 300)
@@ -127,7 +131,7 @@ def test_criterion_09_node_counts():
     reference = {4: (9, 5), 10: (36, 17), 20: (1957, 581), 30: (45820, 10522)}
     details, in_band = [], []
     for n, (left_ref, right_ref) in reference.items():
-        st = _verified(2 * n, Ruleset.BASIC)
+        st = _verified(2 * n)
         for got, ref in ((st.left_nodes, left_ref), (st.right_nodes, right_ref)):
             in_band.append(ref / 2 <= got <= ref * 2)
         details.append(f"n={n}:{st.left_nodes}/{left_ref},{st.right_nodes}/{right_ref}")
@@ -136,14 +140,17 @@ def test_criterion_09_node_counts():
                   + " ".join(details))
     if not ok:
         pytest.fail(
-            "soft criterion: left count at n=4 is 3 vs reference 9; the "
-            "reference search memoized raw part multisets while this verifier "
-            "(per its contract) memoizes fully normalized games, which "
-            "collapses the tiny n=4 tree; n=10,20,30 are all within band")
+            "soft criterion: at n=4 this verifier counts 3/3 against the "
+            "reference's 9/5, and the left count is outside the band; the n=4 "
+            "tree is a8 ->(1d) o5 with two distinct Right replies, and a "
+            "search of it counts 7/7 with no memo and no dedupe, 4/4 with "
+            "dedupe only and 3/3 with this verifier's memo, so none of these "
+            "searches reproduces 9/5 and what the reference counted is "
+            "unknown; n=10,20,30 are all within band")
 
 
 def test_criterion_10_growth_trend_informational():
-    times = {s: _verified(s, Ruleset.BASIC).elapsed for s in range(28, 51, 2)}
+    times = {s: _verified(s).elapsed for s in range(28, 51, 2)}
     ratios = [math.log(times[s] / times[s - 2])
               for s in range(30, 51, 2) if times[s - 2] > 0]
     avg = sum(ratios) / len(ratios)

@@ -14,7 +14,7 @@ def norm(text: str) -> Game:
 
 def test_rule_table_order_and_names():
     names = [r.name for r in rule_table()]
-    assert names == ["alpha", "-alpha", "beta", "-beta", "gamma", "-gamma",
+    assert names == ["alpha", "-alpha", "beta", "gamma", "-gamma",
                      "delta", "-delta", "epsilon", "-epsilon", "zeta", "-zeta",
                      "eta", "-eta"]
 

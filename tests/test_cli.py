@@ -89,6 +89,15 @@ def test_verify_rejects_runs_that_check_nothing(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_huge_starts_before_building_them(capsys):
+    # a start too deep for the search, and a range too long to list
+    begin = time.perf_counter()
+    assert run(["verify", "--from", "3000", "--to", "3000"]) == 2
+    assert run(["verify", "--from", "8", "--to", str(10 ** 9)]) == 2
+    assert time.perf_counter() - begin < 1.0
+    assert capsys.readouterr().err.count("500-stone cap") == 2
+
+
 def test_verify_has_no_jobs_flag(capsys):
     # a range runs in one process against one shared memo
     assert run(["verify", "--from", "8", "--to", "12", "--jobs", "2"]) == 2
@@ -100,6 +109,8 @@ def test_check_rejects_bounds_below_one(capsys):
     assert run(["check", "u-closure", "--max-stones", "0"]) == 2
     assert run(["check", "theorem-right", "--max-stones", "-5"]) == 2
     assert run(["check", "theorem-left", "--max-parts", "0"]) == 2
+    assert run(["check", "asf", "--budget", "0"]) == 2
+    assert run(["check", "asf", "--budget", "-1"]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +78,41 @@ def test_apply_move_rejects_illegal():
         apply_move(Game.of(["oxox"]), Move(0, 2, 4))  # not adjacent
     with pytest.raises(IllegalMove):
         apply_move(Game.of(["oxox"]), Move(3, 1, 2))  # no such part
+    with pytest.raises(IllegalMove):
+        apply_move(Game.of(["oxox"]), Move(-1, 2, 1))  # no such part either
+
+
+def _scan_moves(g: Game, player: str) -> list[Move]:
+    """Every clobber for `player` by a literal scan of the cells."""
+    moves = []
+    opp = opponent(player)
+    for i, part in enumerate(g.parts):
+        for f in range(len(part)):
+            if part[f] != player:
+                continue
+            for t in (f - 1, f + 1):
+                if 0 <= t < len(part) and part[t] == opp:
+                    moves.append(Move(i, f + 1, t + 1))
+    return moves
+
+
+def test_clobber_table_matches_a_literal_cell_scan():
+    # every stone string of 1-10 stones, either orientation, as a lone part
+    for n in range(1, 11):
+        for s in itertools.product("ox", repeat=n):
+            g = Game(("".join(s),))
+            for player in (BLACK, WHITE):
+                assert legal_moves(g, player) == _scan_moves(g, player)
+            legal = {(m.from_index, m.to_index)
+                     for m in _scan_moves(g, BLACK) + _scan_moves(g, WHITE)}
+            for f in range(n + 2):
+                for t in range(n + 2):
+                    m = Move(0, f, t)
+                    if (f, t) in legal:
+                        assert apply_move(g, m) == _apply_move_reference(g, m)
+                    else:
+                        with pytest.raises(IllegalMove):
+                            apply_move(g, m)
 
 
 def _apply_move_reference(g: Game, m: Move) -> Game:
