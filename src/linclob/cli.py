@@ -29,12 +29,16 @@ EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# The bounds each `check` suite reads; any other bound given is a usage error.
+# The bounds each `check` suite reads, each with the largest value it accepts
+# (None: no cap); any other bound given is a usage error.  The --max-stones
+# caps keep the worst case within about 10 s (2-vCPU VM, Python 3.11):
+# theorem-* enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
+# u-closure builds every U part's move table (120: 2.4 s, 38 MiB).
 _CHECK_BOUNDS = {
-    "asf": ("--budget",),
-    "theorem-right": ("--max-stones", "--max-parts"),
-    "theorem-left": ("--max-stones", "--max-parts"),
-    "u-closure": ("--max-stones",),
+    "asf": {"--budget": None},
+    "theorem-right": {"--max-stones": 40, "--max-parts": None},
+    "theorem-left": {"--max-stones": 40, "--max-parts": None},
+    "u-closure": {"--max-stones": 120},
 }
 
 
@@ -91,8 +95,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="bounded theorem property suites")
     p.add_argument("suite", choices=list(_CHECK_BOUNDS))
+    caps = ", ".join(f"{suite} {bounds['--max-stones']}"
+                     for suite, bounds in _CHECK_BOUNDS.items()
+                     if "--max-stones" in bounds)
     p.add_argument("--max-stones", type=int, default=None,
-                   help="theorem-* and u-closure: max stones per game or part")
+                   help="theorem-* and u-closure: max stones per game or part "
+                        f"(at most {caps})")
     p.add_argument("--max-parts", type=int, default=None,
                    help="theorem-*: max parts per game (default 3)")
     p.add_argument("--budget", type=int, default=None,
@@ -236,6 +244,10 @@ def _check(args) -> int:
             return _usage_error(f"check {args.suite} does not read {flag}")
         if value < 1:
             return _usage_error(f"{flag} must be at least 1, got {value}")
+        cap = _CHECK_BOUNDS[args.suite][flag]
+        if cap is not None and value > cap:
+            return _usage_error(f"check {args.suite}: {flag} {value} is over "
+                                f"the {cap} cap")
     max_stones = args.max_stones
     if max_stones is None:
         max_stones = 15 if args.suite == "u-closure" else 18

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .core import Game, alternating, canonical, flip, parse_position
@@ -188,15 +187,31 @@ def k_parts(max_stones: int) -> list[str]:
 def enumerate_s_games(max_stones: int = 18, max_parts: int = 3) -> Iterator[Game]:
     """Every normalized S-family multiset of K-parts within the bounds.
 
-    Deterministic order, no duplicates.
+    Deterministic order (by part count, then as
+    `itertools.combinations_with_replacement` lists the sorted pool), no
+    duplicates.  No K part has fewer than 2 stones, so at most
+    `max_stones // 2` parts are tried.
     """
     pool = k_parts(max_stones)
-    for n in range(1, max_parts + 1):
-        for combo in combinations_with_replacement(pool, n):
-            if sum(len(p) for p in combo) > max_stones:
-                continue
+    for n in range(1, min(max_parts, max_stones // 2) + 1):
+        for combo in _multisets(pool, 0, n, max_stones):
             g = Game(tuple(sorted(combo)))
             if normalize(g) != g:
                 continue
             if s_class(g) is not SClass.NotInS:
                 yield g
+
+
+def _multisets(pool: list[str], start: int, n: int,
+               room: int) -> Iterator[tuple[str, ...]]:
+    """The n-part multisets from pool[start:] of at most `room` stones, in
+    combinations order.  The pool is sorted by length, so the first part
+    that does not fit n times over ends the scan."""
+    if n == 0:
+        yield ()
+        return
+    for i in range(start, len(pool)):
+        if len(pool[i]) * n > room:
+            break
+        for rest in _multisets(pool, i, n - 1, room - len(pool[i])):
+            yield (pool[i],) + rest

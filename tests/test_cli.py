@@ -126,6 +126,31 @@ def test_check_rejects_bounds_the_suite_does_not_read(capsys, suite, flag):
     assert flag in captured.err and suite in captured.err
 
 
+def test_check_rejects_huge_max_stones_before_any_work(capsys):
+    begin = time.perf_counter()
+    assert run(["check", "u-closure", "--max-stones", "20000"]) == 2
+    assert run(["check", "theorem-right", "--max-stones", "200",
+                "--max-parts", "3"]) == 2
+    assert run(["check", "theorem-left", "--max-stones", "41"]) == 2
+    assert time.perf_counter() - begin < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("cap") == 3
+    # the cap itself is accepted
+    assert run(["check", "theorem-left", "--max-stones", "40",
+                "--max-parts", "1"]) == 0
+
+
+def test_check_max_parts_needs_no_cap(capsys):
+    # no K part has fewer than 2 stones, so 9 parts is every part count at 18
+    assert run(["check", "theorem-left", "--max-stones", "18",
+                "--max-parts", "9"]) == 1
+    nine = capsys.readouterr().out
+    assert run(["check", "theorem-left", "--max-stones", "18",
+                "--max-parts", "1000000000"]) == 1
+    assert capsys.readouterr().out == nine
+
+
 def test_check_asf_reads_budget(capsys):
     # the pair-cancellation samples need 10 stones
     assert run(["check", "asf", "--budget", "4"]) == 3

@@ -2,7 +2,10 @@ from collections import Counter
 
 import pytest
 
-from linclob.core import Game, parse_position
+from linclob import strategy
+from linclob.core import (
+    BLACK, Game, apply_move, expand_shorthand, legal_moves, parse_position,
+)
 from linclob.asf import normalize
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyMove, ambiguous_rows, choose_left_move,
@@ -165,8 +168,45 @@ def test_improved_override_spiral():
     assert choose_left_move(g, Ruleset.BASIC).rule_id == "1d"
 
 
-def test_parameterized_rows_are_unambiguous():
+def test_rule_rows_are_unambiguous():
+    # whole-game, fixed, lone-K-part and spiral rows
     assert rule_rows_unique(30) == []
+
+
+def _whole_game_search(g: Game, rule_id: str, part: str,
+                       tokens: tuple[str, ...]) -> StrategyMove | None:
+    """The literal realization of a row: the first Left move on `part` whose
+    normalized whole result equals normalize(g - part + tokens)."""
+    rest = list(g.parts)
+    rest.remove(part)
+    expected = normalize(Game.of(rest + [expand_shorthand(t) for t in tokens]))
+    for m in legal_moves(g, BLACK):
+        if g.parts[m.part_index] == part:
+            result = normalize(apply_move(g, m))
+            if result == expected:
+                return StrategyMove(rule_id, m, result)
+    return None
+
+
+def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
+    spiral = strategy._spiral_row(g) if ruleset is Ruleset.IMPROVED else None
+    chosen = _whole_game_search(g, *(spiral or strategy._rule_row(g)))
+    assert chosen is not None, g
+    if in_left_target(chosen.result):
+        return chosen
+    for m in legal_moves(g, BLACK):
+        result = normalize(apply_move(g, m))
+        if in_left_target(result):
+            return StrategyMove(chosen.rule_id + "-fallback", m, result)
+    return chosen
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_rows_match_the_whole_game_search(ruleset):
+    games = list(enumerate_s_games(24, 4))
+    assert len(games) == 1143
+    for g in games:
+        assert choose_left_move(g, ruleset) == _reference_move(g, ruleset), g
 
 
 def test_ambiguous_row_is_reported():

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -136,3 +136,16 @@ def test_enumerate_is_normalized_deduplicated_s_only():
         assert normalize(g) == g
         assert in_S0(g)
         assert g.stones() <= 14 and len(g.parts) <= 2
+
+
+def test_enumerate_matches_a_filter_of_every_combination():
+    # the literal enumeration: every multiset of K parts, then the filters
+    pool = k_parts(14)
+    brute = [Game(tuple(sorted(combo)))
+             for n in range(1, 5)
+             for combo in combinations_with_replacement(pool, n)
+             if sum(len(p) for p in combo) <= 14]
+    brute = [g for g in brute if normalize(g) == g and in_S0(g)]
+    assert list(enumerate_s_games(14, 4)) == brute
+    # no K part has fewer than 2 stones, so 7 parts is every part count
+    assert list(enumerate_s_games(14, 10 ** 9)) == list(enumerate_s_games(14, 7))
