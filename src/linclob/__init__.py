@@ -4,7 +4,7 @@ from .core import (
     BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
     ParseError,
     add, alternating, apply_move, canonical, clobbers, expand_shorthand, flip,
-    format_game, legal_moves, negate, opponent, parse_position, successors,
+    format_game, legal_moves, negate, opponent, parse_position,
 )
 from .asf import normalize, normalize_trace, potential, rule_table
 from .oracle import (
@@ -18,7 +18,7 @@ from .taxonomy import (
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
-    improved_override, rule_rows_unique,
+    rule_rows_unique,
 )
 from .verifier import (
     TheoremReport, VerifyStats, check_asf_soundness, check_theorem_left,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or parse error,
-3 solving budget exceeded.
+3 solving budget or the 500-stone position cap exceeded.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "normalize":
-        g = parse_position(args.position)
+        g = parse_position(args.position, MAX_START_STONES)
         fixpoint, trace = normalize_trace(g)
         if args.trace:
             for rule_name, step in trace:
@@ -147,7 +147,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "classify":
-        g = normalize(parse_position(args.position))
+        g = normalize(parse_position(args.position, MAX_START_STONES))
         _emit(args, f"normalized={format_game(g, args.format)}")
         for p in g.parts:
             flags = ",".join(sorted(classify_part(p)))
@@ -162,7 +162,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "moves":
-        g = parse_position(args.position)
+        g = parse_position(args.position, MAX_START_STONES)
         player = BLACK if args.player == "L" else WHITE
         for m in legal_moves(g, player):
             part = g.parts[m.part_index]
@@ -170,7 +170,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "best":
-        g = normalize(parse_position(args.position))
+        g = normalize(parse_position(args.position, MAX_START_STONES))
         ruleset = Ruleset(args.ruleset)
         try:
             sm = choose_left_move(g, ruleset)

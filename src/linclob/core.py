@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 BLACK = "x"
 WHITE = "o"
@@ -152,23 +152,44 @@ def apply_move(g: Game, m: Move) -> Game:
     return Game(tuple(parts))
 
 
-def successors(g: Game, player: str) -> list[Game]:
-    """Distinct positions reachable in one move, in deterministic order."""
-    children = {apply_move(g, m).parts: None for m in legal_moves(g, player)}
-    return [Game(parts) for parts in children]
-
-
 # ---------------------------------------------------------------------------
 # Notation
 
 
-def _within(token: str, stones: int, max_stones: int | None) -> None:
-    """Raise BudgetExceeded, before the token is expanded, if the part it
-    declares would take the position over `max_stones`."""
-    # A one-stone part is monochromatic and dropped, so it never counts.
-    if max_stones is not None and stones > max(max_stones, 1):
-        raise BudgetExceeded(
-            f"token {token!r} declares {stones} stones; budget left is {max_stones}")
+# Shape families: name -> (token forms, parity of k, least k).  A member is
+# its token's head colour (twice for a doubled head), an alternating run from
+# that colour, then the tail's colour.  The families are disjoint.  A and oAx
+# are their own flipped reversal; oAx writes the reversal as xx{}oo.
+SHAPE_FAMILIES: dict[str, tuple[tuple[str, ...], int, int]] = {
+    "A": (("a{}",), 0, 2),
+    "O": (("o{}",), 1, 1),
+    "X": (("x{}",), 1, 1),
+    "oA": (("oo{}",), 1, 3),
+    "Ax": (("xx{}",), 1, 3),
+    "oO": (("oo{}",), 0, 4),
+    "xX": (("xx{}",), 0, 4),
+    "oOo": (("oo{}oo",), 1, 5),
+    "xXx": (("xx{}xx",), 1, 5),
+    "oAx": (("oo{}xx", "xx{}oo"), 0, 4),
+}
+
+# (head, tail, parity of k) -> (family, least k, whether the form is reversed)
+_FORMS = {(*form.split("{}"), parity): (name, least, i > 0)
+          for name, (forms, parity, least) in SHAPE_FAMILIES.items()
+          for i, form in enumerate(forms)}
+_TOKEN = re.compile(r"(a|o|x|oo|xx)(\d+)(oo|xx|)")
+
+
+def shape_string(name: str, k: int) -> str | None:
+    """The k-stone member of a shape family in the orientation of its first
+    token form, or None if the family has no member of k stones."""
+    forms, parity, least = SHAPE_FAMILIES[name]
+    if k < least or k % 2 != parity:
+        return None
+    head, tail = forms[0].split("{}")
+    extra, end = head[1:], tail[:1]
+    body = alternating(k - len(extra) - len(end), "o" if head == "a" else head[0])
+    return extra + body + end
 
 
 def expand_shorthand(token: str, max_stones: int | None = None) -> str:
@@ -178,93 +199,61 @@ def expand_shorthand(token: str, max_stones: int | None = None) -> str:
     BudgetExceeded before anything is built."""
     if token and set(token) <= {"o", "x"}:
         return token  # literal stone string (covers o, oo, xxo, oox, ...)
-
-    m = re.fullmatch(r"a(\d+)", token)
-    if m:
-        k = int(m.group(1))
-        if k < 2 or k % 2:
-            raise ParseError(f"token {token!r}: a-parts have even length >= 2")
-        _within(token, k, max_stones)
-        return "ox" * (k // 2)
-
-    m = re.fullmatch(r"([ox])(\d+)", token)
-    if m:
-        color, k = m.group(1), int(m.group(2))
-        if k < 1 or k % 2 == 0:
-            raise ParseError(f"token {token!r}: single-prefix parts have odd length")
-        _within(token, k, max_stones)
-        return alternating(k, color)
-
-    m = re.fullmatch(r"(oo|xx)(\d+)(oo|xx)?", token)
-    if m:
-        prefix, k, suffix = m.group(1), int(m.group(2)), m.group(3)
-        color = prefix[0]
-        if suffix is None:
-            if k < 3:
-                raise ParseError(f"token {token!r}: doubled prefix needs length >= 3")
-            _within(token, k, max_stones)
-            return color + alternating(k - 1, color)
-        if k < 4:
-            raise ParseError(f"token {token!r}: doubled ends need length >= 4")
-        # the alternating body of k - 2 stones ends on `color` iff k is odd
-        if (color if k % 2 else opponent(color)) != suffix[0]:
-            raise ParseError(f"token {token!r}: suffix color does not match parity")
-        _within(token, k, max_stones)
-        return color + alternating(k - 2, color) + suffix[0]
-
-    raise ParseError(f"unrecognized shorthand token {token!r}")
+    m = _TOKEN.fullmatch(token)
+    if not m:
+        raise ParseError(f"unrecognized shorthand token {token!r}")
+    head, k, tail = m.group(1), int(m.group(2)), m.group(3)
+    name, least, reverse = _FORMS.get((head, tail, k % 2), (None, 0, False))
+    if name is None or k < least:
+        raise ParseError(f"token {token!r}: no shape family writes {k} stones "
+                         f"as {head}{{}}{tail}")
+    # A one-stone part is monochromatic and dropped, so it never counts.
+    if max_stones is not None and k > max(max_stones, 1):
+        raise BudgetExceeded(
+            f"token {token!r} declares {k} stones; budget left is {max_stones}")
+    s = shape_string(name, k)
+    return s[::-1] if reverse else s
 
 
 def part_token(part: str) -> str:
     """Shortest notation for a part: a shorthand token or the raw string."""
-    best = part
-    for s in (part, part[::-1]):
-        for tok in _tokens_for(s):
-            if len(tok) < len(best):
-                best = tok
-    return best
-
-
-def _tokens_for(s: str) -> Iterator[str]:
-    k = len(s)
-    lead = len(s) - len(s.lstrip(s[0]))
-    tail = len(s) - len(s.rstrip(s[-1]))
-    if lead == 1 and tail == 1 and _is_alternating(s):
-        yield f"a{k}" if k % 2 == 0 else f"{s[0]}{k}"
-    elif lead == 2 and tail == 1 and _is_alternating(s[1:]):
-        yield f"{s[0] * 2}{k}"
-    elif lead == 2 and tail == 2 and _is_alternating(s[1:-1]):
-        yield f"{s[0] * 2}{k}{s[-1] * 2}"
-
-
-def _is_alternating(s: str) -> bool:
-    return all(a != b for a, b in zip(s, s[1:]))
+    for name, (forms, _, _) in SHAPE_FAMILIES.items():
+        s = shape_string(name, len(part))
+        if s is not None and part in (s, s[::-1]):
+            token = (forms[0] if part == s else forms[-1]).format(len(part))
+            return min(part, token, key=len)
+    return part
 
 
 def parse_position(text: str, max_stones: int | None = None) -> Game:
     """Parse a stone string (``ox-oox``) or a ``+``-separated token list.
 
-    With `max_stones`, a shorthand token that would take the position past
-    that many stones raises BudgetExceeded before it is expanded."""
+    With `max_stones`, a position of more stones raises BudgetExceeded, and a
+    shorthand token that would take it past that many is refused before it
+    is expanded."""
     text = text.strip()
     if not text:
         raise EmptyPosition("empty position")
     if set(text) <= set("ox-"):
-        runs = [r for r in text.split("-") if r]
-        if not runs:
+        parts = [r for r in text.split("-") if r]
+        if not parts:
             raise EmptyPosition(f"no stones in {text!r}")
-        return Game.of(runs)
-    parts = []
-    room = max_stones
-    for token in text.split("+"):
-        token = token.strip()
-        if not token:
-            raise ParseError(f"empty token in {text!r}")
-        part = expand_shorthand(token, room)
-        if room is not None and not is_monochromatic(part):
-            room -= len(part)
-        parts.append(part)
-    return Game.of(parts)
+    else:
+        parts = []
+        room = max_stones
+        for token in text.split("+"):
+            token = token.strip()
+            if not token:
+                raise ParseError(f"empty token in {text!r}")
+            part = expand_shorthand(token, room)
+            if room is not None and not is_monochromatic(part):
+                room -= len(part)
+            parts.append(part)
+    g = Game.of(parts)
+    if max_stones is not None and g.stones() > max_stones:
+        raise BudgetExceeded(f"position has {g.stones()} stones; "
+                             f"budget is {max_stones}")
+    return g
 
 
 def format_game(g: Game, style: str = "stones") -> str:

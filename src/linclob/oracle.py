@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
-    BLACK, WHITE, BudgetExceeded, Game, add, negate, opponent, successors,
+    BLACK, WHITE, BudgetExceeded, Game, add, clobbers, negate, opponent,
 )
 
 DEFAULT_MAX_STONES = 26
@@ -51,7 +51,7 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
     hit = cache.table.get(key)
     if hit is not None:
         return hit
-    children = [c.parts for c in successors(Game(parts), player)]
+    children = _children(parts, player)
     if cache.order == "fast":
         children.sort(key=lambda c: (sum(len(p) for p in c), c))
     opp = opponent(player)
@@ -62,6 +62,20 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
             break
     cache.table[key] = result
     return result
+
+
+def _children(parts: tuple[str, ...], player: str) -> list[tuple[str, ...]]:
+    """The distinct positions `player` reaches in one move, in move order,
+    read straight off each part's clobber table."""
+    children: dict[tuple[str, ...], None] = {}
+    for i, part in enumerate(parts):
+        if i and part == parts[i - 1]:
+            continue  # a copy of a part reaches the same positions again
+        rest = parts[:i] + parts[i + 1:]
+        for (f, _), pieces in clobbers(part).items():
+            if part[f - 1] == player:
+                children[tuple(sorted(rest + pieces))] = None
+    return list(children)
 
 
 def outcome(g: Game, cache: SolveCache) -> OutcomeClass:

@@ -93,7 +93,7 @@ def _spiral_row(g: Game) -> Row | None:
     if len(g.parts) != 2:
         return None
     a = next((p for p in g.parts if in_shape(p, "A")), None)
-    oo = next((p for p in g.parts if in_shape(p, "oO") and len(p) >= 4), None)
+    oo = next((p for p in g.parts if in_shape(p, "oO")), None)
     if a is None or oo is None or a == oo:
         return None
     j, k = len(a) // 2, len(oo) // 2
@@ -103,12 +103,6 @@ def _spiral_row(g: Game) -> Row | None:
     if j < k + 3 or m == 9:
         return None
     return "spiral", a, (f"o{m}", f"xx{2 * k}")
-
-
-def improved_override(g: Game) -> StrategyMove | None:
-    """The spiral row's move on g, or None where the spiral does not apply."""
-    row = _spiral_row(g)
-    return None if row is None else _realize(g, *row)
 
 
 def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
@@ -252,13 +246,14 @@ def rule_rows_unique(max_stones: int = 30) -> list[str]:
 
 
 def ambiguous_rows(cases: Iterable[tuple[str, str, Iterable[str]]]) -> list[str]:
-    """The `rule_id:part` of each (rule id, part, result tokens) row whose
-    result is reached from the lone part (a token or a stone string) by no
-    Left move, or by moves to more than one position before normalization."""
+    """The `rule_id:part->tokens` of each (rule id, part, result tokens) row
+    whose result is reached from the lone part (a token or a stone string) by
+    no Left move, or by moves to more than one position before
+    normalization."""
     bad: list[str] = []
     for rule_id, token, tokens in cases:
-        part = _part(token)
+        part, tokens = _part(token), tuple(tokens)
         table = clobbers(part)
-        if len({table[c] for c in _row_clobbers(part, tuple(tokens))}) != 1:
-            bad.append(f"{rule_id}:{part_token(part)}")
+        if len({table[c] for c in _row_clobbers(part, tokens)}) != 1:
+            bad.append(f"{rule_id}:{part_token(part)}->{'+'.join(tokens) or '0'}")
     return bad

@@ -1,11 +1,11 @@
 """Part classification: named shape families, count vectors, and the
 S0/S1/S2 game families used by the Left strategy.
 
-Shape families (either orientation of the stone string):
+Shape families (either orientation; a "run" alternates and begins with o):
   A    even alternating            O    odd alternating, o at both ends
-  oA   o + even alternating       oO    o + odd alternating
-  oOo  o + alternating + o        oAx   o + alternating + x
-plus their color-flips X, Ax, xX, xXx.
+  oA   o + even run               oO    o + odd run
+  oOo  o + odd run + o            oAx   o + even run + x
+plus their color-flips X, Ax, xX, xXx; `core.SHAPE_FAMILIES` is the table.
 
 The eight count-vector classes are the specific members that survive
 standard-form reduction: O', oO', oOo', I, {xxo}, {oo8}, A', oA'.
@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .core import Game, alternating, canonical, flip, parse_position
+from .core import SHAPE_FAMILIES, Game, canonical, parse_position, shape_string
 from .asf import normalize
 
 
@@ -36,42 +36,16 @@ class SClass(Enum):
     NotInS = "not-in-S"
 
 
-_SHAPES = ("A", "O", "oA", "oO", "oOo", "oAx", "X", "Ax", "xX", "xXx")
-
-
-def _shape_string(name: str, k: int) -> str | None:
-    """The unique member of a shape family with k stones, if any."""
-    if name in ("X", "Ax", "xX", "xXx"):
-        base = {"X": "O", "Ax": "oA", "xX": "oO", "xXx": "oOo"}[name]
-        s = _shape_string(base, k)
-        return None if s is None else flip(s)
-    if name == "A":
-        return alternating(k, "o") if k >= 2 and k % 2 == 0 else None
-    if name == "O":
-        return alternating(k, "o") if k % 2 == 1 else None
-    if name == "oA":
-        if k == 1:
-            return "o"
-        return "o" + alternating(k - 1, "o") if k >= 3 and k % 2 == 1 else None
-    if name == "oO":
-        return "o" + alternating(k - 1, "o") if k >= 2 and k % 2 == 0 else None
-    if name == "oOo":
-        return "o" + alternating(k - 2, "o") + "o" if k >= 3 and k % 2 == 1 else None
-    if name == "oAx":
-        return "o" + alternating(k - 2, "o") + "x" if k >= 4 and k % 2 == 0 else None
-    raise ValueError(name)
-
-
 def in_shape(part: str, name: str) -> bool:
     """Shape membership, insensitive to orientation."""
-    s = _shape_string(name, len(part))
+    s = shape_string(name, len(part))
     return s is not None and (part == s or part[::-1] == s)
 
 
 @lru_cache(maxsize=None)
 def classify_part(part: str) -> frozenset[str]:
     """All shape and count-vector class flags that apply to a part."""
-    flags = {name for name in _SHAPES if in_shape(part, name)}
+    flags = {name for name in SHAPE_FAMILIES if in_shape(part, name)}
     k = len(part)
     if "A" in flags and k not in (2, 4, 6, 12):
         flags.add("Aprime")
@@ -95,14 +69,14 @@ def classify_part(part: str) -> frozenset[str]:
 
 def in_U(part: str) -> bool:
     """Part arises in play from some even alternating start."""
-    return any(in_shape(part, name) for name in _SHAPES)
+    return any(in_shape(part, name) for name in SHAPE_FAMILIES)
 
 
 def u_parts(max_stones: int) -> list[str]:
     """All canonical U parts with at most max_stones stones, sorted by
     (length, string)."""
-    parts = {canonical(s) for k in range(1, max_stones + 1) for name in _SHAPES
-             if (s := _shape_string(name, k)) is not None}
+    parts = {canonical(s) for k in range(1, max_stones + 1)
+             for name in SHAPE_FAMILIES if (s := shape_string(name, k)) is not None}
     return sorted(parts, key=lambda p: (len(p), p))
 
 

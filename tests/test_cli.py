@@ -29,6 +29,16 @@ def test_huge_token_is_rejected_before_it_is_built(capsys):
     # the budget covers both sides of an equivalence test
     assert run(["equiv", "a4", "a4", "--budget", "7"]) == 3
     assert run(["equiv", "a4", "a4", "--budget", "8"]) == 0
+    # verbs without --budget stop at the 500-stone cap, tokens and literals
+    # alike: the move table of one part is quadratic in its length
+    for position in (huge, "ox" * 300):
+        for verb, *flags in (["normalize"], ["classify"],
+                             ["moves", "--player", "L"], ["best"]):
+            begin = time.perf_counter()
+            assert run([verb, position, *flags]) == 3
+            assert time.perf_counter() - begin < 1.0
+    assert capsys.readouterr().err.count("is 500") == 8
+    assert run(["moves", "ox" * 250, "--player", "L"]) == 0
 
 
 def test_parse_error_exit_code(capsys):

@@ -8,7 +8,7 @@ from linclob.core import (
     ParseError,
     add, alternating, apply_move, canonical, expand_shorthand, flip,
     format_game, is_monochromatic, legal_moves, negate, opponent,
-    parse_position, part_token, successors,
+    parse_position, part_token,
 )
 
 parts = st.text(alphabet="ox", min_size=1, max_size=8)
@@ -140,13 +140,6 @@ def test_moves_reduce_stone_count(g):
             assert apply_move(g, m).stones() <= g.stones() - 1
 
 
-@given(games)
-def test_successors_are_deduplicated(g):
-    for player in (BLACK, WHITE):
-        kids = successors(g, player)
-        assert len(kids) == len(set(kids))
-
-
 def test_expand_shorthand_families():
     assert expand_shorthand("a6") == "oxoxox"
     assert expand_shorthand("o5") == "oxoxo"
@@ -155,12 +148,15 @@ def test_expand_shorthand_families():
     assert expand_shorthand("xx4") == "xxox"
     assert expand_shorthand("oo5oo") == "ooxoo"
     assert expand_shorthand("oo6xx") == "ooxoxx"
+    assert expand_shorthand("xx6oo") == "xxoxoo"   # oAx read from its x end
+    assert expand_shorthand("xx5xx") == "xxoxx"
     assert expand_shorthand("xxo") == "xxo"
     assert expand_shorthand("oox") == "oox"
 
 
 def test_expand_shorthand_rejects_bad_parity():
-    for bad in ("a5", "o4", "oo0", "a0", "q3", "oo4oo", "oo5xx"):
+    for bad in ("a5", "o4", "oo0", "a0", "q3", "oo4oo", "oo5xx", "oo2",
+                "oo3oo", "a4oo", "o5xx"):
         with pytest.raises(ParseError):
             expand_shorthand(bad)
 
@@ -178,6 +174,12 @@ def test_parse_position_checks_budget_before_expanding():
         parse_position(f"a{10 ** 9 + 1}", 4)
     with pytest.raises(BudgetExceeded):
         parse_position(f"oo{10 ** 9}xx", 4)
+    # stone strings and literal tokens count against the budget as well
+    assert parse_position("oxox-ooo", 4).parts == ("oxox",)
+    with pytest.raises(BudgetExceeded):
+        parse_position("oxox-ox", 5)
+    with pytest.raises(BudgetExceeded):
+        parse_position("a2 + oxox", 5)
 
 
 def test_parse_position_both_notations():

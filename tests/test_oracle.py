@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linclob.core import BLACK, WHITE, Game, negate, parse_position
+from linclob.core import (
+    BLACK, WHITE, Game, apply_move, legal_moves, negate, opponent,
+    parse_position,
+)
 from linclob.oracle import (
     BudgetExceeded, OutcomeClass, SolveCache, equivalent, outcome,
     wins_moving_first,
@@ -65,6 +68,28 @@ def test_node_counts_per_order():
 parts = st.text(alphabet="ox", min_size=1, max_size=5)
 games = st.lists(parts, min_size=0, max_size=3).map(Game.of).filter(
     lambda g: g.stones() <= 12)
+
+
+def _literal_wins(g: Game, player: str, memo: dict) -> bool:
+    """Memoized minimax over legal_moves/apply_move: the distinct children in
+    move order, searched up to the first one the opponent loses."""
+    key = (g.parts, player)
+    if key not in memo:
+        children = {apply_move(g, m).parts: None for m in legal_moves(g, player)}
+        memo[key] = any(not _literal_wins(Game(c), opponent(player), memo)
+                        for c in children)
+    return memo[key]
+
+
+@given(games)
+@settings(max_examples=60, deadline=None)
+def test_counted_order_matches_a_literal_search(g):
+    # same answers and same memo size: the same children in the same order
+    cache, memo = SolveCache(order="counted"), {}
+    outcome(g, cache)
+    for player in (BLACK, WHITE):
+        assert cache.table[g.parts, player] == _literal_wins(g, player, memo)
+    assert len(cache.table) == len(memo)
 
 
 @given(games)

@@ -9,7 +9,7 @@ from linclob.core import (
 from linclob.asf import normalize
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyMove, ambiguous_rows, choose_left_move,
-    improved_override, rule_rows_unique,
+    rule_rows_unique,
 )
 from linclob.taxonomy import enumerate_s_games, in_left_target
 
@@ -157,15 +157,14 @@ def test_out_of_scope():
 
 
 def test_improved_override_spiral():
-    g = norm("a14 + oo6")
-    sm = improved_override(g)
-    assert sm is not None and sm.rule_id == "spiral"
-    assert sm.result == norm("o7")
-    assert improved_override(norm("a14 + oo8")) is not None   # residual o5
-    assert improved_override(norm("a14 + oo10")) is None      # j - k too small
-    assert improved_override(norm("a16 + oo6")) is None       # residual would be o9
-    assert choose_left_move(g, Ruleset.IMPROVED).rule_id == "spiral"
-    assert choose_left_move(g, Ruleset.BASIC).rule_id == "1d"
+    sm = pick("a14 + oo6", Ruleset.IMPROVED)
+    assert sm.rule_id == "spiral" and sm.result == norm("o7")
+    assert pick("a14 + oo8", Ruleset.IMPROVED).rule_id == "spiral"  # residual o5
+    assert pick("a14 + oo6").rule_id == "1d"
+    for text in ("a14 + oo10",          # j - k too small
+                 "a16 + oo6",           # residual would be o9
+                 "a14"):                # no oO part to cancel
+        assert pick(text, Ruleset.IMPROVED) == pick(text), text
 
 
 def test_rule_rows_are_unambiguous():
@@ -211,7 +210,11 @@ def test_rows_match_the_whole_game_search(ruleset):
 
 def test_ambiguous_row_is_reported():
     # two Left moves on a6 reach a2 before normalization: oxo and oxoxx
-    assert ambiguous_rows([("planted", "a6", ["a2"])]) == ["planted:a6"]
+    assert ambiguous_rows([("planted", "a6", ["a2"])]) == ["planted:a6->a2"]
     # a row no move reaches is reported too; a unique row is not
     assert ambiguous_rows([("none", "a6", ["o5"]), ("1d", "a8", ["o5"])]) \
-        == ["none:a6"]
+        == ["none:a6->o5"]
+    # two spiral rows on one a-part: the label names the unreachable one
+    assert ambiguous_rows([("spiral", "a14", ["o7", "xx6"]),
+                           ("spiral", "a14", ["o9", "xx6"])]) \
+        == ["spiral:a14->o9+xx6"]

@@ -2,7 +2,10 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from linclob.core import Game, canonical, expand_shorthand, parse_position
+from linclob.core import (
+    SHAPE_FAMILIES, Game, canonical, expand_shorthand, flip, parse_position,
+    part_token,
+)
 from linclob.asf import normalize
 from linclob.taxonomy import (
     NotInK, SClass, classify_part, count_vector, enumerate_s_games, in_K,
@@ -28,6 +31,47 @@ def test_shape_membership_is_orientation_free():
     assert in_shape("ooxoo", "oOo")
     assert in_shape("ooxoxx", "oAx")
     assert in_shape("xxo", "Ax")
+
+
+def _run_from_o(s: str, parity: int) -> bool:
+    """An alternating run that begins with o, of the given length parity."""
+    return s[:1] == "o" and len(s) % 2 == parity and \
+        all(a != b for a, b in zip(s, s[1:]))
+
+
+def _literal_shape(s: str, name: str) -> bool:
+    """The module docstring's prose for one orientation of s."""
+    flipped = {"X": "O", "Ax": "oA", "xX": "oO", "xXx": "oOo"}
+    if name in flipped:
+        return _literal_shape(flip(s), flipped[name])
+    return {
+        "A": _run_from_o(s, 0) or _run_from_o(flip(s), 0),
+        "O": _run_from_o(s, 1) and s[-1] == "o",
+        "oA": s[0] == "o" and _run_from_o(s[1:], 0),
+        "oO": s[0] == "o" and _run_from_o(s[1:], 1),
+        "oOo": s[0] == s[-1] == "o" and _run_from_o(s[1:-1], 1),
+        "oAx": s[0] == "o" and s[-1] == "x" and _run_from_o(s[1:-1], 0),
+    }[name]
+
+
+def test_shape_table_matches_the_prose_definitions():
+    # every two-colour string of 2-12 stones, in either orientation
+    for k in range(2, 13):
+        for cells in product("ox", repeat=k):
+            s = "".join(cells)
+            if len(set(s)) < 2:
+                continue
+            for name in SHAPE_FAMILIES:
+                expected = _literal_shape(s, name) or _literal_shape(s[::-1], name)
+                assert in_shape(s, name) == expected, (s, name)
+            # part_token takes the first family that holds a part
+            assert sum(in_shape(s, name) for name in SHAPE_FAMILIES) <= 1, s
+
+
+def test_part_token_expands_back_to_the_part():
+    for p in u_parts(40):
+        if len(set(p)) == 2:
+            assert expand_shorthand(part_token(p)) in (p, p[::-1]), p
 
 
 def test_primed_class_flags():
@@ -84,7 +128,8 @@ def test_u_parts_is_every_u_part():
              if in_U("".join(cells))}
     parts = u_parts(12)
     assert parts == sorted(brute, key=lambda p: (len(p), p))
-    assert len(parts) == 55
+    assert len(parts) == 51
+    assert [p for p in parts if len(set(p)) < 2] == ["o", "x"]
     for n in (3, 12, 18):
         assert set(k_parts(n)) <= set(u_parts(n))
 
