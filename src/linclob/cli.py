@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 from .core import (
     BLACK, WHITE, ParseError, format_game, legal_moves, parse_position,
@@ -29,90 +30,95 @@ EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# The bounds each `check` suite reads, each with the largest value it accepts
-# (None: no cap); any other bound given is a usage error.  The --max-stones
-# caps keep the worst case within about 10 s (2-vCPU VM, Python 3.11):
-# theorem-* enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
-# u-closure builds every U part's move table (120: 2.4 s, 38 MiB).
-_CHECK_BOUNDS = {
-    "asf": {"--budget": None},
-    "theorem-right": {"--max-stones": 40, "--max-parts": None},
-    "theorem-left": {"--max-stones": 40, "--max-parts": None},
-    "u-closure": {"--max-stones": 120},
+# Each `check` suite: its check function and the bounds it reads, as
+# flag -> (keyword of the function, largest value accepted or None).  A bound
+# that is not given is left to the function's default; any other bound given
+# is a usage error.  The --max-stones caps keep the worst case within about
+# 10 s (2-vCPU VM, Python 3.11): theorem-* enumerate every S game of up to
+# max-stones // 2 parts (40: 7.6 s), u-closure builds every U part's move
+# table (120: 2.4 s, 38 MiB).
+_SUITES = {
+    "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
+            {"--budget": ("max_stones", None)}),
+    "theorem-right": (check_theorem_right,
+                      {"--max-stones": ("max_stones", 40),
+                       "--max-parts": ("max_parts", None)}),
+    "theorem-left": (check_theorem_left,
+                     {"--max-stones": ("max_stones", 40),
+                      "--max-parts": ("max_parts", None)}),
+    "u-closure": (check_u_closure, {"--max-stones": ("max_stones", 120)}),
 }
+
+
+def _bound(text: str) -> int:
+    """The argparse type of every bound flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="linclob",
                                   description="Linear clobber toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def common(p, budget=False, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=["stones", "short"],
-                           default="short")
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_MAX_STONES,
-                           help="max total stones the solver will accept")
-        p.add_argument("--quiet", action="store_true")
+    fmt = {"choices": ["stones", "short"], "default": "short"}
+    budget = {"type": _bound, "default": DEFAULT_MAX_STONES,
+              "help": "max total stones the solver will accept"}
+    ruleset = {"choices": [r.value for r in Ruleset],
+               "default": Ruleset.BASIC.value}
 
     p = sub.add_parser("solve", help="outcome class of a position")
     p.add_argument("position")
-    common(p, budget=True, fmt=False)
+    p.add_argument("--budget", **budget)
 
     p = sub.add_parser("normalize", help="standard form of a position")
     p.add_argument("position")
     p.add_argument("--trace", action="store_true")
-    common(p)
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("classify", help="part classes, count vector, S-class")
     p.add_argument("position")
-    common(p)
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("moves", help="legal moves for a player")
     p.add_argument("position")
     p.add_argument("--player", choices=["L", "R"], required=True)
-    common(p, fmt=False)
 
     p = sub.add_parser("best", help="Left's strategy move")
     p.add_argument("position")
-    p.add_argument("--ruleset", choices=["basic", "improved"], default="basic")
-    common(p)
+    p.add_argument("--ruleset", **ruleset)
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("equiv", help="test game equivalence via the oracle")
     p.add_argument("position1")
     p.add_argument("position2")
-    common(p, budget=True, fmt=False)
+    p.add_argument("--budget", **budget)
 
     p = sub.add_parser("verify", help="strategy verification over starts")
     p.add_argument("--from", dest="start", type=int, required=True,
                    help="first start size in stones (even)")
     p.add_argument("--to", dest="stop", type=int, required=True,
                    help="last start size in stones (even, inclusive)")
-    p.add_argument("--ruleset", choices=["basic", "improved"], default="basic")
+    p.add_argument("--ruleset", **ruleset)
     p.add_argument("--csv", dest="csv_path")
-    common(p, fmt=False)
 
     p = sub.add_parser("check", help="bounded theorem property suites")
-    p.add_argument("suite", choices=list(_CHECK_BOUNDS))
-    caps = ", ".join(f"{suite} {bounds['--max-stones']}"
-                     for suite, bounds in _CHECK_BOUNDS.items()
-                     if "--max-stones" in bounds)
-    p.add_argument("--max-stones", type=int, default=None,
+    p.add_argument("suite", choices=list(_SUITES))
+    caps = ", ".join(f"{suite} {reads['--max-stones'][1]}"
+                     for suite, (_, reads) in _SUITES.items()
+                     if "--max-stones" in reads)
+    p.add_argument("--max-stones", type=_bound,
                    help="theorem-* and u-closure: max stones per game or part "
                         f"(at most {caps})")
-    p.add_argument("--max-parts", type=int, default=None,
-                   help="theorem-*: max parts per game (default 3)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="asf: max total stones the solver will accept "
-                        f"(default {DEFAULT_MAX_STONES})")
-    common(p, fmt=False)
+    p.add_argument("--max-parts", type=_bound,
+                   help="theorem-*: max parts per game")
+    p.add_argument("--budget", type=_bound,
+                   help="asf: max total stones the solver will accept")
     return top
-
-
-def _emit(args, text: str) -> None:
-    if not getattr(args, "quiet", False):
-        print(text)
 
 
 def run(argv: list[str]) -> int:
@@ -133,8 +139,7 @@ def run(argv: list[str]) -> int:
 def _dispatch(args) -> int:
     if args.verb == "solve":
         g = parse_position(args.position, args.budget)
-        cache = SolveCache(max_stones=args.budget, order="fast")
-        _emit(args, outcome(g, cache).value)
+        print(outcome(g, SolveCache(max_stones=args.budget)).value)
         return EXIT_OK
 
     if args.verb == "normalize":
@@ -142,55 +147,51 @@ def _dispatch(args) -> int:
         fixpoint, trace = normalize_trace(g)
         if args.trace:
             for rule_name, step in trace:
-                _emit(args, f"rule={rule_name} game={format_game(step, args.format)}")
-        _emit(args, format_game(fixpoint, args.format))
+                print(f"rule={rule_name} game={format_game(step, args.format)}")
+        print(format_game(fixpoint, args.format))
         return EXIT_OK
 
     if args.verb == "classify":
         g = normalize(parse_position(args.position, MAX_START_STONES))
-        _emit(args, f"normalized={format_game(g, args.format)}")
+        print(f"normalized={format_game(g, args.format)}")
         for p in g.parts:
-            flags = ",".join(sorted(classify_part(p)))
-            _emit(args, f"part={p} classes={flags}")
+            print(f"part={p} classes={','.join(sorted(classify_part(p)))}")
         try:
-            _emit(args, "count_vector=" + ",".join(map(str, count_vector(g))))
+            print("count_vector=" + ",".join(map(str, count_vector(g))))
         except NotInK as e:
-            _emit(args, f"count_vector=undefined part={e.part}")
-        _emit(args, f"s_class={s_class(g).value}")
-        _emit(args, f"in_q={in_Q(g)}")
-        _emit(args, f"in_ll={in_LL(g)}")
+            print(f"count_vector=undefined part={e.part}")
+        print(f"s_class={s_class(g).value}")
+        print(f"in_q={in_Q(g)}")
+        print(f"in_ll={in_LL(g)}")
         return EXIT_OK
 
     if args.verb == "moves":
         g = parse_position(args.position, MAX_START_STONES)
         player = BLACK if args.player == "L" else WHITE
         for m in legal_moves(g, player):
-            part = g.parts[m.part_index]
-            _emit(args, f"part={part} from={m.from_index} to={m.to_index}")
+            print(f"part={g.parts[m.part_index]} "
+                  f"from={m.from_index} to={m.to_index}")
         return EXIT_OK
 
     if args.verb == "best":
         g = normalize(parse_position(args.position, MAX_START_STONES))
-        ruleset = Ruleset(args.ruleset)
         try:
-            sm = choose_left_move(g, ruleset)
+            sm = choose_left_move(g, Ruleset(args.ruleset))
         except (NotInScope, StrategyGap) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CLAIM_FAILS
-        part = g.parts[sm.move.part_index]
-        _emit(args, f"rule={sm.rule_id} part={part} "
-                    f"from={sm.move.from_index} to={sm.move.to_index} "
-                    f"result={format_game(sm.result, args.format)}")
+        print(f"rule={sm.rule_id} part={g.parts[sm.move.part_index]} "
+              f"from={sm.move.from_index} to={sm.move.to_index} "
+              f"result={format_game(sm.result, args.format)}")
         return EXIT_OK
 
     if args.verb == "equiv":
         g = parse_position(args.position1, args.budget)
         h = parse_position(args.position2, args.budget - g.stones())
-        cache = SolveCache(max_stones=args.budget, order="fast")
-        if equivalent(g, h, cache):
-            _emit(args, "equivalent")
+        if equivalent(g, h, SolveCache(max_stones=args.budget)):
+            print("equivalent")
             return EXIT_OK
-        _emit(args, "not equivalent")
+        print("not equivalent")
         return EXIT_CLAIM_FAILS
 
     if args.verb == "verify":
@@ -215,17 +216,24 @@ def _verify(args) -> int:
     if not starts:
         return _usage_error(f"no even start of at least 4 stones in "
                             f"{args.start}..{args.stop}")
+    # Open the CSV before the search, so a path that cannot be written
+    # fails at once instead of after the whole range.
     try:
-        stats = verify_range(starts, Ruleset(args.ruleset))
-    except StrategyGap as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CLAIM_FAILS
-    for st in stats:
-        _emit(args, f"n={st.n} left_wins={st.left_wins} "
-                    f"left_nodes={st.left_nodes} right_nodes={st.right_nodes} "
-                    f"runtime_seconds={st.elapsed:.2f}")
-    if args.csv_path:
-        with open(args.csv_path, "w", newline="") as fh:
+        out = (open(args.csv_path, "w", newline="") if args.csv_path
+               else nullcontext())
+    except OSError as e:
+        return _usage_error(f"cannot write --csv {args.csv_path}: {e.strerror}")
+    with out as fh:
+        try:
+            stats = verify_range(starts, Ruleset(args.ruleset))
+        except StrategyGap as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_CLAIM_FAILS
+        for st in stats:
+            print(f"n={st.n} left_wins={st.left_wins} "
+                  f"left_nodes={st.left_nodes} right_nodes={st.right_nodes} "
+                  f"runtime_seconds={st.elapsed:.2f}")
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["n", "runtime_seconds", "left_nodes", "right_nodes"])
             for st in stats:
@@ -235,37 +243,25 @@ def _verify(args) -> int:
 
 
 def _check(args) -> int:
-    bounds = {"--max-stones": args.max_stones, "--max-parts": args.max_parts,
-              "--budget": args.budget}
-    for flag, value in bounds.items():
+    check, reads = _SUITES[args.suite]
+    bounds = {}
+    for flag, value in (("--max-stones", args.max_stones),
+                        ("--max-parts", args.max_parts),
+                        ("--budget", args.budget)):
         if value is None:
             continue
-        if flag not in _CHECK_BOUNDS[args.suite]:
+        if flag not in reads:
             return _usage_error(f"check {args.suite} does not read {flag}")
-        if value < 1:
-            return _usage_error(f"{flag} must be at least 1, got {value}")
-        cap = _CHECK_BOUNDS[args.suite][flag]
+        keyword, cap = reads[flag]
         if cap is not None and value > cap:
             return _usage_error(f"check {args.suite}: {flag} {value} is over "
                                 f"the {cap} cap")
-    max_stones = args.max_stones
-    if max_stones is None:
-        max_stones = 15 if args.suite == "u-closure" else 18
-    max_parts = 3 if args.max_parts is None else args.max_parts
-    budget = DEFAULT_MAX_STONES if args.budget is None else args.budget
-    if args.suite == "asf":
-        report = check_asf_soundness(SolveCache(max_stones=budget, order="fast"))
-    elif args.suite == "theorem-right":
-        report = check_theorem_right(max_stones, max_parts)
-    elif args.suite == "theorem-left":
-        report = check_theorem_left(max_stones, max_parts)
-    else:
-        report = check_u_closure(max_stones)
-    _emit(args, f"theorem={report.theorem} "
-                f"instances={report.instances_checked} "
-                f"failures={len(report.failures)}")
+        bounds[keyword] = value
+    report = check(**bounds)
+    print(f"theorem={report.theorem} instances={report.instances_checked} "
+          f"failures={len(report.failures)}")
     for failure in report.failures:
-        _emit(args, f"failure={failure}")
+        print(f"failure={failure}")
     return EXIT_OK if report.ok else EXIT_CLAIM_FAILS
 
 

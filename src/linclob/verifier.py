@@ -159,14 +159,13 @@ def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremRepo
     return report
 
 
-def check_theorem_left(max_stones: int = 18, max_parts: int = 3,
-                       ruleset: Ruleset = Ruleset.BASIC) -> TheoremReport:
+def check_theorem_left(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:
     """On every S0 game, the chosen Left move must land in S1, S2, LL, or 0."""
     report = TheoremReport("LeftFromS0", 0)
     for g in enumerate_s_games(max_stones, max_parts):
         report.instances_checked += 1
         try:
-            reply = choose_left_move(g, ruleset)
+            reply = choose_left_move(g)
         except StrategyGap as gap:
             report.failures.append((g, None, str(gap)))
             continue
@@ -180,7 +179,7 @@ _BETA_SAMPLES = ("ox", "oxox", "xxo", "oxoxo", "ooxoxo")
 
 def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
     """Every rewrite rule's left side is oracle-equivalent to its right side."""
-    cache = cache or SolveCache(order="fast")
+    cache = cache or SolveCache()
     report = TheoremReport("AsfSoundness", 0)
     for rule in rule_table():
         if rule.lhs is None:

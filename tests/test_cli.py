@@ -1,9 +1,14 @@
 import csv
+import inspect
 import time
 
 import pytest
 
 from linclob.cli import run
+from linclob.verifier import (
+    check_asf_soundness, check_theorem_left, check_theorem_right,
+    check_u_closure,
+)
 
 
 def test_solve(capsys):
@@ -115,13 +120,58 @@ def test_verify_has_no_jobs_flag(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_check_rejects_bounds_below_one(capsys):
-    assert run(["check", "u-closure", "--max-stones", "0"]) == 2
-    assert run(["check", "theorem-right", "--max-stones", "-5"]) == 2
-    assert run(["check", "theorem-left", "--max-parts", "0"]) == 2
-    assert run(["check", "asf", "--budget", "0"]) == 2
-    assert run(["check", "asf", "--budget", "-1"]) == 2
+def test_verify_csv_path_that_cannot_be_written(tmp_path, capsys):
+    # refused before the search, not after the whole range
+    for path in (tmp_path / "missing" / "v.csv", tmp_path):
+        begin = time.perf_counter()
+        assert run(["verify", "--from", "8", "--to", "60",
+                    "--csv", str(path)]) == 2
+        assert time.perf_counter() - begin < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--csv" in captured.err and str(path) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "a4"], ["normalize", "a4"], ["classify", "a4"],
+    ["moves", "a4", "--player", "L"], ["best", "a4"], ["equiv", "a4", "a4"],
+    ["verify", "--from", "8", "--to", "8"], ["check", "u-closure"],
+])
+def test_no_verb_has_a_quiet_flag(capsys, argv):
+    assert run([*argv, "--quiet"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_check_theorem_left_reads_no_ruleset():
+    assert "ruleset" not in inspect.signature(check_theorem_left).parameters
+
+
+def test_check_rejects_bounds_below_one(capsys):
+    for argv, flag in ((["check", "u-closure", "--max-stones", "0"], "--max-stones"),
+                       (["check", "theorem-right", "--max-stones", "-5"], "--max-stones"),
+                       (["check", "theorem-left", "--max-parts", "0"], "--max-parts"),
+                       (["check", "asf", "--budget", "0"], "--budget"),
+                       (["check", "asf", "--budget", "-1"], "--budget"),
+                       (["solve", "a4", "--budget", "0"], "--budget"),
+                       (["solve", "ox", "--budget", "-1"], "--budget"),
+                       (["equiv", "a4", "a4", "--budget", "0"], "--budget")):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+
+@pytest.mark.parametrize("suite, check", [
+    ("asf", check_asf_soundness), ("theorem-right", check_theorem_right),
+    ("theorem-left", check_theorem_left), ("u-closure", check_u_closure),
+])
+def test_check_defaults_are_the_library_defaults(capsys, suite, check):
+    report = check()
+    run(["check", suite])
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"theorem={report.theorem} instances={report.instances_checked} "
+        f"failures={len(report.failures)}")
 
 
 @pytest.mark.parametrize("suite, flag", [
