@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or parse error,
-3 solving budget or the 500-stone position cap exceeded.
+Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or parse error
+(including a `best` position outside the strategy's scope), 3 solving budget
+or the 500-stone position cap exceeded.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def _dispatch(args) -> int:
         g = normalize(parse_position(args.position, MAX_START_STONES))
         try:
             sm = choose_left_move(g, Ruleset(args.ruleset))
-        except (NotInScope, StrategyGap) as e:
+        except NotInScope as e:
+            return _usage_error(str(e))
+        except StrategyGap as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CLAIM_FAILS
         print(f"rule={sm.rule_id} part={g.parts[sm.move.part_index]} "

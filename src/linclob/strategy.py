@@ -1,7 +1,10 @@
-"""Left's move choice: rule tables 1-7 and the improved "spiral" row.
+"""Left's move choice: the rule table 1a..7b and the improved "spiral" row.
 
 Each rule states a row `(rule id, part, tokens)`: Left moves on `part` and
-leaves pieces whose standard form is that of the shorthand `tokens`.
+leaves pieces whose standard form is that of the shorthand `tokens`.  The
+table is data, stated once: `_WHOLE_GAME_ROWS` holds the rows stated for one
+whole game, looked up first, and `_RULE_ROWS` lists every other rule in
+precedence order, so the first row that applies fixes the move.
 Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
 lone part, which is exact for the whole game: `normalize` merges part forms
 and cancels p against -p, and the rest of a standard-form game is its own
@@ -77,16 +80,6 @@ def _realize(g: Game, rule_id: str, part: str,
     return StrategyMove(rule_id, move, normalize(apply_move(g, move)))
 
 
-def _contains(g: Game, sub: Game) -> bool:
-    have = Counter(g.parts)
-    return all(have[p] >= n for p, n in Counter(sub.parts).items())
-
-
-def _smallest(parts: tuple[str, ...], flag: str) -> str | None:
-    hits = [p for p in parts if flag in classify_part(p)]
-    return min(hits, key=lambda p: (len(p), p)) if hits else None
-
-
 def _spiral_row(g: Game) -> Row | None:
     """The improved ruleset's row on a(2j) + oo(2k): a(2j) -> o(m) + xx(2k)
     with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves o(m) alone."""
@@ -128,9 +121,6 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     return chosen
 
 
-_OO6, _A4, _A2, _OOX, _OO8, _XXO = (_part(t) for t in
-                                    ("oo6", "a4", "a2", "oox", "oo8", "xxo"))
-
 # Rows stated for one whole game; they take precedence over the rule order.
 _WHOLE_GAME_ROWS: dict[tuple[str, ...], Row] = {
     _game("a8", "a2").parts: ("1a", _part("a8"), ("xxo", "a4")),
@@ -141,29 +131,54 @@ _WHOLE_GAME_ROWS: dict[tuple[str, ...], Row] = {
     _game("oo12", "a4").parts: ("4b", _part("oo12"), ("oo8", "xxo")),
 }
 
-# Rows on one fixed part, by rule id.
-_FIXED_ROWS: dict[str, Row] = {
-    rule_id: (rule_id, _part(token), tokens) for rule_id, (token, tokens) in {
-        "3b": ("oox", ("a2",)), "3c": ("a4", ("xxo",)), "3d": ("oox", ("a2",)),
-        "4c": ("oo10", ("o5",)), "4d": ("oo12", ("o7",)),
-        "4e": ("oo14", ("o11", "a2")), "4f": ("oo16", ("o11",)),
-        "4g": ("oo18", ("o13",)), "4h": ("oo20", ("o17", "a2")),
-        "5a": ("oo6", ("xxo",)), "5b": ("oo6", ("xxo",)),
-        "5c": ("oo6", ("ooxo",)), "5d": ("oo6", ("xxo",)),
-        "5e": ("oo6", ("ooxo",)), "5f": ("oo6", ("ooxo",)),
-        "5g": ("a4", ("a2",)), "5h": ("oo6", ("xxo",)), "5i": ("a4", ("xxo",)),
-        "5j": ("a2", ()),
-        "6b": ("o11", ("o7", "xxo")), "6c": ("o7", ("o5",)),
-        "6d": ("o5", ("xxo",)),
-        "7a": ("oo8", ("ooxo", "xxo")), "7b": ("xxo", ()),
-    }.items()
-}
-
-# Rule 5 in order: the copies of oo6, a4 and a2 each row needs.
-_RULE_5_NEEDS = {"5a": (2, 1, 0), "5b": (2, 0, 1), "5c": (2, 0, 0),
-                 "5d": (1, 1, 1), "5e": (1, 1, 0), "5f": (1, 0, 1),
-                 "5g": (0, 1, 1), "5h": (1, 0, 0), "5i": (0, 1, 0),
-                 "5j": (0, 0, 1)}
+# Every other rule, in precedence order: the first row that applies fixes
+# Left's move.  A fixed row (rule id, parts g must hold, part, tokens)
+# applies when g holds each listed part, counted with multiplicity.  A class
+# row (rule id, class flag, least stones, token head, shift) applies when g
+# has a part of that class with at least `least` stones; Left moves on the
+# smallest such part p and leaves the token f"{head}{len(p) + shift}".
+# This order gives the precedence of the paper's rule-by-rule statement:
+# - every row of 3b-3d needs oox, and oox is in oOo', so they apply only
+#   where rule 3 does;
+# - oO' starts at oo10, so the first of 4c-4h whose part is present is the
+#   smallest oO' part;
+# - 6a comes first, so 6b/6c/6d each pick the largest O' part below 13
+#   stones.
+# Fixed rows hold canonical parts and their needs as (part, copies) pairs.
+_RULE_ROWS = tuple(
+    (row[0], tuple(Counter(map(_part, row[1])).items()), _part(row[2]), row[3])
+    if len(row) == 4 else row
+    for row in (
+        ("1d", "Aprime", 8, "o", -3),
+        ("2", "oAprime", 7, "oo", -3),
+        ("3b", ("o5", "a4", "a2", "oox"), "oox", ("a2",)),
+        ("3c", ("a4", "oox"), "a4", ("xxo",)),
+        ("3d", ("oox",), "oox", ("a2",)),
+        ("3e", "oOoprime", 9, "oo", -5),
+        ("4c", ("oo10",), "oo10", ("o5",)),
+        ("4d", ("oo12",), "oo12", ("o7",)),
+        ("4e", ("oo14",), "oo14", ("o11", "a2")),
+        ("4f", ("oo16",), "oo16", ("o11",)),
+        ("4g", ("oo18",), "oo18", ("o13",)),
+        ("4h", ("oo20",), "oo20", ("o17", "a2")),
+        ("4i", "oOprime", 22, "o", -5),
+        ("5a", ("oo6", "oo6", "a4"), "oo6", ("xxo",)),
+        ("5b", ("oo6", "oo6", "a2"), "oo6", ("xxo",)),
+        ("5c", ("oo6", "oo6"), "oo6", ("ooxo",)),
+        ("5d", ("oo6", "a4", "a2"), "oo6", ("xxo",)),
+        ("5e", ("oo6", "a4"), "oo6", ("ooxo",)),
+        ("5f", ("oo6", "a2"), "oo6", ("ooxo",)),
+        ("5g", ("a4", "a2"), "a4", ("a2",)),
+        ("5h", ("oo6",), "oo6", ("xxo",)),
+        ("5i", ("a4",), "a4", ("xxo",)),
+        ("5j", ("a2",), "a2", ()),
+        ("6a", "Oprime", 13, "o", -2),
+        ("6b", ("o11",), "o11", ("o7", "xxo")),
+        ("6c", ("o7",), "o7", ("o5",)),
+        ("6d", ("o5",), "o5", ("xxo",)),
+        ("7a", ("oo8",), "oo8", ("ooxo", "xxo")),
+        ("7b", ("xxo",), "xxo", ()),
+    ))
 
 
 def _rule_row(g: Game) -> Row:
@@ -171,59 +186,18 @@ def _rule_row(g: Game) -> Row:
     row = _WHOLE_GAME_ROWS.get(g.parts)
     if row is not None:
         return row
-    cnt = Counter(g.parts)
-
-    # Rule 1: A' non-empty.
-    p = _smallest(g.parts, "Aprime")
-    if p is not None:
-        return "1d", p, (f"o{len(p) - 3}",)
-
-    # Rule 2: oA' non-empty.
-    p = _smallest(g.parts, "oAprime")
-    if p is not None:
-        return "2", p, (f"oo{len(p) - 3}",)
-
-    # Rule 3: oOo' non-empty.
-    p = _smallest(g.parts, "oOoprime")
-    if p is not None:
-        if _contains(g, _game("o5", "a4", "a2", "oox")):
-            return _FIXED_ROWS["3b"]
-        if _contains(g, _game("a4", "oox")):
-            return _FIXED_ROWS["3c"]
-        if cnt[_OOX]:
-            return _FIXED_ROWS["3d"]
-        return "3e", p, (f"oo{len(p) - 5}",)
-
-    # Rule 4: oO' non-empty.
-    p = _smallest(g.parts, "oOprime")
-    if p is not None:
-        rule_id = {10: "4c", 12: "4d", 14: "4e", 16: "4f", 18: "4g",
-                   20: "4h"}.get(len(p))
-        return _FIXED_ROWS[rule_id] if rule_id else ("4i", p, (f"o{len(p) - 5}",))
-
-    # Rule 5: I non-empty.
-    have = (cnt[_OO6], cnt[_A4], cnt[_A2])
-    for rule_id, needs in _RULE_5_NEEDS.items():
-        if all(h >= n for h, n in zip(have, needs)):
-            return _FIXED_ROWS[rule_id]
-
-    # Rule 6: O' moves.
-    opr = [p for p in g.parts if "Oprime" in classify_part(p)]
-    if opr:
-        big = [p for p in opr if len(p) >= 13]
-        if big:
-            p = min(big, key=lambda q: (len(q), q))
-            return "6a", p, (f"o{len(p) - 2}",)
-        lengths = {len(p) for p in opr}
-        return _FIXED_ROWS["6b" if 11 in lengths else "6c" if 7 in lengths
-                           else "6d"]
-
-    # Rule 7.
-    if cnt[_OO8]:
-        return _FIXED_ROWS["7a"]
-    if cnt[_XXO]:
-        return _FIXED_ROWS["7b"]
-
+    have = Counter(g.parts)
+    for row in _RULE_ROWS:
+        if len(row) == 4:
+            rule_id, needs, part, tokens = row
+            if part in have and all(have[p] >= n for p, n in needs):
+                return rule_id, part, tokens
+        else:
+            rule_id, flag, least, head, shift = row
+            fits = [p for p in have if len(p) >= least and flag in classify_part(p)]
+            if fits:
+                p = min(fits, key=lambda q: (len(q), q))
+                return rule_id, p, (f"{head}{len(p) + shift}",)
     if in_S0(g):
         raise StrategyGap(f"no rule matches S0 game {g}")
     raise NotInScope(f"{g} is outside the strategy's scope")
@@ -235,7 +209,7 @@ def rule_rows_unique(max_stones: int = 30) -> list[str]:
     the row chosen on each lone K part and the spiral rows on a-parts of at
     most `max_stones` stones.  Returns offending rows."""
     cases = list(_WHOLE_GAME_ROWS.values())
-    cases += _FIXED_ROWS.values()
+    cases += [(r[0], r[2], r[3]) for r in _RULE_ROWS if len(r) == 4]
     cases += [_rule_row(Game((p,))) for p in k_parts(max_stones)]
     for a in range(4, max_stones + 1, 2):
         for oo in range(4, a, 2):

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+from linclob import cli
 from linclob.cli import run
+from linclob.strategy import StrategyGap
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
     check_u_closure,
@@ -68,6 +70,11 @@ def test_classify(capsys):
     out = capsys.readouterr().out
     assert "s_class=S0" in out
     assert "count_vector=0,1,0,0,0,1,0,0" in out
+    # x5 has no count-vector class, so the vector is undefined
+    assert run(["classify", "x5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "count_vector=undefined part=xoxox" in out
+    assert "s_class=not-in-S" in out
 
 
 def test_moves(capsys):
@@ -80,6 +87,26 @@ def test_best(capsys):
     assert "rule=1d" in capsys.readouterr().out
     assert run(["best", "a14 + oo6", "--ruleset", "improved"]) == 0
     assert "rule=spiral" in capsys.readouterr().out
+
+
+def test_best_outside_the_strategy_is_a_usage_error(capsys):
+    # x5 is no S game and no rule applies; oxo-oxo's standard form is 0
+    for position in ("x5", "oxo-oxo"):
+        assert run(["best", position]) == 2, position
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
+    def gap(g, ruleset):
+        raise StrategyGap(f"no rule matches S0 game {g}")
+    monkeypatch.setattr(cli, "choose_left_move", gap)
+    assert run(["best", "a8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no rule matches")
 
 
 def test_equiv_exit_codes(capsys):
@@ -155,7 +182,9 @@ def test_check_rejects_bounds_below_one(capsys):
                        (["check", "asf", "--budget", "-1"], "--budget"),
                        (["solve", "a4", "--budget", "0"], "--budget"),
                        (["solve", "ox", "--budget", "-1"], "--budget"),
-                       (["equiv", "a4", "a4", "--budget", "0"], "--budget")):
+                       (["equiv", "a4", "a4", "--budget", "0"], "--budget"),
+                       (["solve", "a4", "--budget", "abc"], "--budget"),
+                       (["check", "theorem-right", "--max-parts", "2x"], "--max-parts")):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

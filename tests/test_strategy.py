@@ -134,13 +134,30 @@ _RULE_HISTOGRAM_18_3 = {
     "6a": 6, "6b": 5, "6c": 10, "6d": 9, "7a": 4, "7b": 3,
 }
 
+# The basic rule ids over enumerate_s_games(24, 4), which reaches 1c, 3b, 4h,
+# 4i and 5g-fallback as well; the improved ruleset plays the spiral on four
+# of its 1d games.
+_RULE_HISTOGRAM_24_4 = {
+    "1a": 1, "1b": 1, "1c": 1, "1d": 258, "2": 163,
+    "3a": 1, "3b": 1, "3c": 22, "3d": 83, "3e": 92,
+    "4a": 1, "4b": 1, "4c": 68, "4d": 42, "4e": 27, "4f": 16, "4g": 9,
+    "4h": 4, "4i": 3,
+    "5a": 7, "5b": 6, "5c": 16, "5d": 6, "5e": 16, "5f": 21, "5g": 24,
+    "5g-fallback": 1, "5h": 38, "5i": 48, "5j": 61, "5j-fallback": 1,
+    "6a": 32, "6b": 17, "6c": 25, "6d": 18, "7a": 8, "7b": 4,
+}
+
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
 def test_rule_histogram_on_enumerated_s_games(ruleset):
-    games = list(enumerate_s_games(18, 3))
-    assert len(games) == 239
-    counts = Counter(choose_left_move(g, ruleset).rule_id for g in games)
-    assert dict(counts) == _RULE_HISTOGRAM_18_3
+    spiral = {"1d": 254, "spiral": 4} if ruleset is Ruleset.IMPROVED else {}
+    for bounds, size, histogram in (
+            ((18, 3), 239, _RULE_HISTOGRAM_18_3),
+            ((24, 4), 1143, {**_RULE_HISTOGRAM_24_4, **spiral})):
+        games = list(enumerate_s_games(*bounds))
+        assert len(games) == size
+        counts = Counter(choose_left_move(g, ruleset).rule_id for g in games)
+        assert dict(counts) == histogram, bounds
 
 
 def test_results_avoid_q():
