@@ -18,12 +18,12 @@ from .taxonomy import (
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
-    rule_rows_unique,
+    require_scope, rule_rows_unique,
 )
 from .verifier import (
-    TheoremReport, VerifyStats, check_asf_soundness, check_theorem_left,
-    check_theorem_right, check_u_closure, verify_game, verify_range,
-    verify_start,
+    TheoremReport, VerifyStats, check_asf_soundness, check_conjecture,
+    check_theorem_left, check_theorem_right, check_u_closure, verify_game,
+    verify_range, verify_start,
 )
 
 __version__ = "0.1.0"

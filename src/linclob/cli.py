@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 from contextlib import nullcontext
 
 from .core import (
@@ -19,11 +20,13 @@ from .asf import normalize, normalize_trace
 from .oracle import (
     DEFAULT_MAX_STONES, BudgetExceeded, SolveCache, equivalent, outcome,
 )
-from .strategy import NotInScope, Ruleset, StrategyGap, choose_left_move
+from .strategy import (
+    NotInScope, Ruleset, StrategyGap, choose_left_move, require_scope,
+)
 from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
 from .verifier import (
-    check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_range, MAX_START_STONES,
+    check_asf_soundness, check_conjecture, check_theorem_left,
+    check_theorem_right, check_u_closure, verify_range, MAX_START_STONES,
 )
 
 EXIT_OK = 0
@@ -37,7 +40,8 @@ EXIT_BUDGET = 3
 # is a usage error.  The --max-stones caps keep the worst case within about
 # 10 s (2-vCPU VM, Python 3.11): theorem-* enumerate every S game of up to
 # max-stones // 2 parts (40: 7.6 s), u-closure builds every U part's move
-# table (120: 2.4 s, 38 MiB).
+# table (120: 2.4 s, 38 MiB), conjecture solves every start of up to
+# max-stones stones (44: 8.9-9.5 s, 125 MiB; 42: 4.6 s, 77 MiB).
 _SUITES = {
     "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
             {"--budget": ("max_stones", None)}),
@@ -48,6 +52,7 @@ _SUITES = {
                      {"--max-stones": ("max_stones", 40),
                       "--max-parts": ("max_parts", None)}),
     "u-closure": (check_u_closure, {"--max-stones": ("max_stones", 120)}),
+    "conjecture": (check_conjecture, {"--max-stones": ("max_stones", 44)}),
 }
 
 
@@ -75,6 +80,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="outcome class of a position")
     p.add_argument("position")
     p.add_argument("--budget", **budget)
+    p.add_argument("--stats", action="store_true",
+                   help="also print the memo size and the solve time")
 
     p = sub.add_parser("normalize", help="standard form of a position")
     p.add_argument("position")
@@ -113,8 +120,8 @@ def _parser() -> argparse.ArgumentParser:
                      for suite, (_, reads) in _SUITES.items()
                      if "--max-stones" in reads)
     p.add_argument("--max-stones", type=_bound,
-                   help="theorem-* and u-closure: max stones per game or part "
-                        f"(at most {caps})")
+                   help="theorem-*, u-closure and conjecture: max stones per "
+                        f"game, part or start (at most {caps})")
     p.add_argument("--max-parts", type=_bound,
                    help="theorem-*: max parts per game")
     p.add_argument("--budget", type=_bound,
@@ -140,7 +147,12 @@ def run(argv: list[str]) -> int:
 def _dispatch(args) -> int:
     if args.verb == "solve":
         g = parse_position(args.position, args.budget)
-        print(outcome(g, SolveCache(max_stones=args.budget)).value)
+        cache = SolveCache(max_stones=args.budget)
+        begin = time.perf_counter()
+        print(outcome(g, cache).value)
+        if args.stats:
+            print(f"memo_keys={len(cache.table)} "
+                  f"seconds={time.perf_counter() - begin:.3f}")
         return EXIT_OK
 
     if args.verb == "normalize":
@@ -177,6 +189,7 @@ def _dispatch(args) -> int:
     if args.verb == "best":
         g = normalize(parse_position(args.position, MAX_START_STONES))
         try:
+            require_scope(g)
             sm = choose_left_move(g, Ruleset(args.ruleset))
         except NotInScope as e:
             return _usage_error(str(e))
@@ -229,7 +242,7 @@ def _verify(args) -> int:
     with out as fh:
         try:
             stats = verify_range(starts, Ruleset(args.ruleset))
-        except StrategyGap as e:
+        except (StrategyGap, NotInScope) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CLAIM_FAILS
         for st in stats:
@@ -261,6 +274,9 @@ def _check(args) -> int:
                                 f"the {cap} cap")
         bounds[keyword] = value
     report = check(**bounds)
+    if not report.instances_checked:
+        return _usage_error(f"check {args.suite}: the bounds leave nothing "
+                            f"to check")
     print(f"theorem={report.theorem} instances={report.instances_checked} "
           f"failures={len(report.failures)}")
     for failure in report.failures:

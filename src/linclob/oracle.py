@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .core import (
     BLACK, WHITE, BudgetExceeded, Game, add, clobbers, negate, opponent,
@@ -28,9 +29,13 @@ class OutcomeClass(Enum):
 class SolveCache:
     """Memo table mapping (game key, player to move) -> mover wins.
 
-    `order` is "fast" (children sorted smallest first; usually fewer nodes)
-    or "counted" (the game-core move order, the reference that the tests
-    check against a literal search).  Both give the same answers.
+    `order` is "fast" (children sorted by (stones, parts), smallest first;
+    usually fewer nodes) or "counted" (the game-core move order, the
+    reference that the tests check against a literal search).  Both give the
+    same answers.  A node's children are built from `_moves`, each part's
+    cached per-player move list, and each carries its stone count, so
+    neither order re-reads the clobber tables or re-sums part lengths.
+    `table` is read only through `.get` and item assignment.
     """
 
     max_stones: int = DEFAULT_MAX_STONES
@@ -54,10 +59,10 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
         return hit
     children = _children(parts, player)
     if cache.order == "fast":
-        children.sort(key=lambda c: (sum(len(p) for p in c), c))
+        children.sort()  # by (stones, child); every child is distinct
     opp = opponent(player)
     result = False
-    for child in children:
+    for _, child in children:
         if not _solve(child, opp, cache):
             result = True
             break
@@ -65,18 +70,30 @@ def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
     return result
 
 
-def _children(parts: tuple[str, ...], player: str) -> list[tuple[str, ...]]:
+@lru_cache(maxsize=None)
+def _moves(part: str, player: str) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """`player`'s moves on the lone part: each distinct clobber's pieces once,
+    in `clobbers` scan order, with the change in stone count they make."""
+    moves: dict[tuple[str, ...], int] = {}
+    for (f, _), pieces in clobbers(part).items():
+        if part[f - 1] == player:
+            moves[pieces] = sum(map(len, pieces)) - len(part)
+    return tuple(moves.items())
+
+
+def _children(parts: tuple[str, ...],
+              player: str) -> list[tuple[int, tuple[str, ...]]]:
     """The distinct positions `player` reaches in one move, in move order,
-    read straight off each part's clobber table."""
-    children: dict[tuple[str, ...], None] = {}
+    each with its stone count."""
+    stones = sum(map(len, parts))
+    children: dict[tuple[str, ...], int] = {}
     for i, part in enumerate(parts):
         if i and part == parts[i - 1]:
             continue  # a copy of a part reaches the same positions again
         rest = parts[:i] + parts[i + 1:]
-        for (f, _), pieces in clobbers(part).items():
-            if part[f - 1] == player:
-                children[tuple(sorted(rest + pieces))] = None
-    return list(children)
+        for pieces, delta in _moves(part, player):
+            children[tuple(sorted(rest + pieces))] = stones + delta
+    return list(zip(children.values(), children))
 
 
 def outcome(g: Game, cache: SolveCache) -> OutcomeClass:

@@ -31,6 +31,13 @@ class NotInScope(ValueError):
     """Game is outside the family the strategy is defined on."""
 
 
+def require_scope(g: Game) -> None:
+    """Raise NotInScope unless g is an S0 game.  The entry points check once
+    here; `choose_left_move` does not, so no search node pays for it."""
+    if not in_S0(g):
+        raise NotInScope(f"{g} is outside the strategy's scope")
+
+
 class StrategyGap(RuntimeError):
     """No rule produced a qualifying move; signals a verification failure."""
 

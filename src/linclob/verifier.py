@@ -17,8 +17,8 @@ from .core import (
     legal_moves, opponent,
 )
 from .asf import normalize, rule_table
-from .oracle import SolveCache, equivalent
-from .strategy import Ruleset, StrategyGap, choose_left_move
+from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
+from .strategy import Ruleset, StrategyGap, choose_left_move, require_scope
 from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
@@ -58,8 +58,11 @@ class TheoremReport:
 
 def verify_game(g: Game, ruleset: Ruleset, memo: Memo) -> bool:
     """True iff Left, to move on normalized g, wins by playing the ruleset
-    against every Right reply."""
-    return _left_node(normalize(g).parts, ruleset, memo)
+    against every Right reply.  Raises NotInScope if normalized g is not an
+    S0 game."""
+    g = normalize(g)
+    require_scope(g)
+    return _left_node(g.parts, ruleset, memo)
 
 
 def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
@@ -171,6 +174,21 @@ def check_theorem_left(max_stones: int = 18, max_parts: int = 3) -> TheoremRepor
             continue
         if not in_left_target(reply.result):
             report.failures.append((g, reply.move, reply.result))
+    return report
+
+
+def check_conjecture(max_stones: int = DEFAULT_MAX_STONES) -> TheoremReport:
+    """The paper's conjecture by the oracle: every even alternating start of
+    at most `max_stones` stones is a first-player win, except a6, which the
+    first mover loses.  a(2n) is its own negative, so one first-mover solve
+    on a fresh memo decides each start."""
+    report = TheoremReport("FirstPlayerWins", 0)
+    for stones in range(2, max_stones + 1, 2):
+        g = Game.of([alternating(stones, "o")])
+        wins = wins_moving_first(g, BLACK, SolveCache(max_stones=max_stones))
+        report.instances_checked += 1
+        if wins != (stones != 6):
+            report.failures.append((f"a{stones}", "N" if wins else "P"))
     return report
 
 

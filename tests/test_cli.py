@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from linclob import cli
+from linclob import cli, verifier
 from linclob.cli import run
-from linclob.strategy import StrategyGap
+from linclob.strategy import NotInScope, StrategyGap
 from linclob.verifier import (
-    check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure,
+    check_asf_soundness, check_conjecture, check_theorem_left,
+    check_theorem_right, check_u_closure,
 )
 
 
@@ -18,6 +18,14 @@ def test_solve(capsys):
     assert capsys.readouterr().out.strip() == "P"
     assert run(["solve", "a4"]) == 0
     assert capsys.readouterr().out.strip() == "N"
+
+
+def test_solve_stats(capsys):
+    # the fast-order memo of both first-mover solves of a8
+    assert run(["solve", "a8", "--stats"]) == 0
+    outcome, stats = capsys.readouterr().out.splitlines()
+    assert outcome == "N"
+    assert stats.startswith("memo_keys=10 seconds=")
 
 
 def test_solve_budget_exit_code(capsys):
@@ -90,8 +98,9 @@ def test_best(capsys):
 
 
 def test_best_outside_the_strategy_is_a_usage_error(capsys):
-    # x5 is no S game and no rule applies; oxo-oxo's standard form is 0
-    for position in ("x5", "oxo-oxo"):
+    # x5 is no S game and no rule applies; oxo-oxo's standard form is 0;
+    # a8 + x5 is no S game although rule 1d moves on its a8
+    for position in ("x5", "oxo-oxo", "a8 + x5"):
         assert run(["best", position]) == 2, position
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -107,6 +116,17 @@ def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: no rule matches")
+
+
+def test_verify_reports_a_game_outside_the_strategy(capsys, monkeypatch):
+    def out_of_scope(g, ruleset):
+        raise NotInScope(f"{g} is outside the strategy's scope")
+    monkeypatch.setattr(verifier, "choose_left_move", out_of_scope)
+    assert run(["verify", "--from", "8", "--to", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: oxoxoxox is outside the strategy's scope"]
 
 
 def test_equiv_exit_codes(capsys):
@@ -194,6 +214,7 @@ def test_check_rejects_bounds_below_one(capsys):
 @pytest.mark.parametrize("suite, check", [
     ("asf", check_asf_soundness), ("theorem-right", check_theorem_right),
     ("theorem-left", check_theorem_left), ("u-closure", check_u_closure),
+    ("conjecture", check_conjecture),
 ])
 def test_check_defaults_are_the_library_defaults(capsys, suite, check):
     report = check()
@@ -207,6 +228,7 @@ def test_check_defaults_are_the_library_defaults(capsys, suite, check):
     ("asf", "--max-stones"), ("asf", "--max-parts"),
     ("u-closure", "--max-parts"), ("u-closure", "--budget"),
     ("theorem-right", "--budget"), ("theorem-left", "--budget"),
+    ("conjecture", "--max-parts"), ("conjecture", "--budget"),
 ])
 def test_check_rejects_bounds_the_suite_does_not_read(capsys, suite, flag):
     assert run(["check", suite, flag, "3"]) == 2
@@ -221,10 +243,11 @@ def test_check_rejects_huge_max_stones_before_any_work(capsys):
     assert run(["check", "theorem-right", "--max-stones", "200",
                 "--max-parts", "3"]) == 2
     assert run(["check", "theorem-left", "--max-stones", "41"]) == 2
+    assert run(["check", "conjecture", "--max-stones", "100"]) == 2
     assert time.perf_counter() - begin < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("cap") == 3
+    assert captured.err.count("cap") == 4
     # the cap itself is accepted
     assert run(["check", "theorem-left", "--max-stones", "40",
                 "--max-parts", "1"]) == 0
@@ -281,3 +304,23 @@ def test_check_theorem_left_full_range_reports_failure(capsys):
     # the one known Theorem-4 gap (oo12 + a4) surfaces as exit code 1
     assert run(["check", "theorem-left", "--max-stones", "18", "--max-parts", "3"]) == 1
     assert "failure=" in capsys.readouterr().out
+
+
+def test_check_conjecture(capsys, monkeypatch):
+    # a2..a20: a6 is the one start the first mover loses
+    assert run(["check", "conjecture", "--max-stones", "20"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "theorem=FirstPlayerWins instances=10 failures=0"]
+    # a verdict that differs from "P at a6 only" names its start
+    monkeypatch.setattr(verifier, "wins_moving_first", lambda g, player, cache: True)
+    assert run(["check", "conjecture", "--max-stones", "8"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "theorem=FirstPlayerWins instances=4 failures=1", "failure=('a6', 'N')"]
+
+
+def test_check_that_checks_nothing_is_a_usage_error(capsys):
+    # no even alternating start has fewer than 2 stones
+    assert run(["check", "conjecture", "--max-stones", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nothing to check" in captured.err

@@ -55,7 +55,8 @@ def test_orders_agree(cache):
 def test_node_counts_per_order():
     # Memo sizes pin the move order and the dedupe of the children.
     expected = {"a8": (21, 10), "oo7 + a2": (23, 10), "oo5oo + ox": (8, 8),
-                "xxo + a4 + o5": (58, 46), "a12": (164, 120)}
+                "xxo + a4 + o5": (58, 46), "a12": (164, 120),
+                "a24": (6882, 2717)}
     for text, sizes in expected.items():
         got = []
         for order in ("counted", "fast"):

@@ -3,7 +3,7 @@ import pytest
 from linclob.core import BLACK, Game, alternating, parse_position
 from linclob.asf import normalize
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
-from linclob.strategy import Ruleset
+from linclob.strategy import NotInScope, Ruleset
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
@@ -30,6 +30,12 @@ def test_verify_game_on_s_games():
     assert verify_game(parse_position("a4"), Ruleset.BASIC, memo)
     assert verify_game(parse_position("xxo"), Ruleset.BASIC, memo)
     assert verify_game(parse_position("o5"), Ruleset.BASIC, memo)
+
+
+def test_verify_game_refuses_games_outside_s0():
+    # rule 1d moves on a8, but a8 + x5 is no S game
+    with pytest.raises(NotInScope):
+        verify_game(parse_position("a8 + x5"), Ruleset.BASIC, {})
 
 
 def test_memo_determinism():
