@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or parse error
-(including a `best` position outside the strategy's scope), 3 solving budget
-or the 500-stone position cap exceeded.
+Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or parse error,
+3 solving budget or the 500-stone position cap exceeded.  `_EXIT_CODES` maps
+each error a verb may raise to its code.
 """
 
 from __future__ import annotations
@@ -34,37 +34,62 @@ EXIT_CLAIM_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+
+class UsageError(ValueError):
+    """A request the command line refuses, though argparse accepted it."""
+
+
+# The exit code of each error a verb may raise; each prints one `error:` line.
+_EXIT_CODES = {
+    ParseError: EXIT_USAGE,
+    UsageError: EXIT_USAGE,
+    NotInScope: EXIT_USAGE,
+    StrategyGap: EXIT_CLAIM_FAILS,
+    BudgetExceeded: EXIT_BUDGET,
+}
+
 # Each `check` suite: its check function and the bounds it reads, as
-# flag -> (keyword of the function, largest value accepted or None).  A bound
-# that is not given is left to the function's default; any other bound given
-# is a usage error.  The --max-stones caps keep the worst case within about
-# 10 s (2-vCPU VM, Python 3.11): theorem-* enumerate every S game of up to
-# max-stones // 2 parts (40: 7.6 s), u-closure builds every U part's move
-# table (120: 2.4 s, 38 MiB), conjecture solves every start of up to
-# max-stones stones (44: 8.9-9.5 s, 125 MiB; 42: 4.6 s, 77 MiB).
+# (flag, keyword of the function, largest value accepted or None).  A bound
+# that is not given is left to the function's default.  The --max-stones caps
+# keep the worst case within about 10 s (2-vCPU VM, Python 3.11): theorem-*
+# enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
+# u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
+# solves every start of up to max-stones stones (44: 8.9-9.5 s, 125 MiB; 42:
+# 4.6 s, 77 MiB).
 _SUITES = {
     "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
-            {"--budget": ("max_stones", None)}),
+            (("--budget", "max_stones", None),)),
     "theorem-right": (check_theorem_right,
-                      {"--max-stones": ("max_stones", 40),
-                       "--max-parts": ("max_parts", None)}),
+                      (("--max-stones", "max_stones", 40),
+                       ("--max-parts", "max_parts", None))),
     "theorem-left": (check_theorem_left,
-                     {"--max-stones": ("max_stones", 40),
-                      "--max-parts": ("max_parts", None)}),
-    "u-closure": (check_u_closure, {"--max-stones": ("max_stones", 120)}),
-    "conjecture": (check_conjecture, {"--max-stones": ("max_stones", 44)}),
+                     (("--max-stones", "max_stones", 40),
+                      ("--max-parts", "max_parts", None))),
+    "u-closure": (check_u_closure, (("--max-stones", "max_stones", 120),)),
+    "conjecture": (check_conjecture, (("--max-stones", "max_stones", 44),)),
+}
+
+_BOUND_HELP = {
+    "--budget": "max total stones the solver will accept",
+    "--max-stones": "max stones per game, part or start",
+    "--max-parts": "max parts per game",
 }
 
 
-def _bound(text: str) -> int:
-    """The argparse type of every bound flag: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bound(cap: int | None = None):
+    """The argparse type of a bound flag: an integer of at least 1 and, with
+    a cap, at most `cap`."""
+    def bound(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is over the {cap} cap")
+        return value
+    return bound
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -72,8 +97,8 @@ def _parser() -> argparse.ArgumentParser:
                                   description="Linear clobber toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
     fmt = {"choices": ["stones", "short"], "default": "short"}
-    budget = {"type": _bound, "default": DEFAULT_MAX_STONES,
-              "help": "max total stones the solver will accept"}
+    budget = {"type": _bound(), "default": DEFAULT_MAX_STONES,
+              "help": _BOUND_HELP["--budget"]}
     ruleset = {"choices": [r.value for r in Ruleset],
                "default": Ruleset.BASIC.value}
 
@@ -115,33 +140,29 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="csv_path")
 
     p = sub.add_parser("check", help="bounded theorem property suites")
-    p.add_argument("suite", choices=list(_SUITES))
-    caps = ", ".join(f"{suite} {reads['--max-stones'][1]}"
-                     for suite, (_, reads) in _SUITES.items()
-                     if "--max-stones" in reads)
-    p.add_argument("--max-stones", type=_bound,
-                   help="theorem-*, u-closure and conjecture: max stones per "
-                        f"game, part or start (at most {caps})")
-    p.add_argument("--max-parts", type=_bound,
-                   help="theorem-*: max parts per game")
-    p.add_argument("--budget", type=_bound,
-                   help="asf: max total stones the solver will accept")
+    suites = p.add_subparsers(dest="suite", required=True)
+    for suite, (_, reads) in _SUITES.items():
+        q = suites.add_parser(suite)
+        for flag, keyword, cap in reads:
+            q.add_argument(flag, dest=keyword, type=_bound(cap),
+                           help=_BOUND_HELP[flag]
+                           + (f" (at most {cap})" if cap else ""))
     return top
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, unread = _parser().parse_known_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if unread:
+            verb = " ".join(filter(None, (args.verb, getattr(args, "suite", None))))
+            raise UsageError(f"{verb} does not read {' '.join(unread)}")
         return _dispatch(args)
-    except ParseError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(e, cls))
 
 
 def _dispatch(args) -> int:
@@ -188,14 +209,8 @@ def _dispatch(args) -> int:
 
     if args.verb == "best":
         g = normalize(parse_position(args.position, MAX_START_STONES))
-        try:
-            require_scope(g)
-            sm = choose_left_move(g, Ruleset(args.ruleset))
-        except NotInScope as e:
-            return _usage_error(str(e))
-        except StrategyGap as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CLAIM_FAILS
+        require_scope(g)
+        sm = choose_left_move(g, Ruleset(args.ruleset))
         print(f"rule={sm.rule_id} part={g.parts[sm.move.part_index]} "
               f"from={sm.move.from_index} to={sm.move.to_index} "
               f"result={format_game(sm.result, args.format)}")
@@ -216,35 +231,26 @@ def _dispatch(args) -> int:
     return _check(args)
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _verify(args) -> int:
     if args.stop > MAX_START_STONES:
-        return _usage_error(f"--to {args.stop} is over the {MAX_START_STONES}-stone cap")
+        raise UsageError(f"--to {args.stop} is over the {MAX_START_STONES}-stone cap")
     starts = [s for s in range(max(args.start, 4), args.stop + 1) if s % 2 == 0]
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
               file=sys.stderr)
         starts.remove(6)
     if not starts:
-        return _usage_error(f"no even start of at least 4 stones in "
-                            f"{args.start}..{args.stop}")
+        raise UsageError(f"no even start of at least 4 stones in "
+                         f"{args.start}..{args.stop}")
     # Open the CSV before the search, so a path that cannot be written
     # fails at once instead of after the whole range.
     try:
         out = (open(args.csv_path, "w", newline="") if args.csv_path
                else nullcontext())
     except OSError as e:
-        return _usage_error(f"cannot write --csv {args.csv_path}: {e.strerror}")
+        raise UsageError(f"cannot write --csv {args.csv_path}: {e.strerror}") from None
     with out as fh:
-        try:
-            stats = verify_range(starts, Ruleset(args.ruleset))
-        except (StrategyGap, NotInScope) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CLAIM_FAILS
+        stats = verify_range(starts, Ruleset(args.ruleset))
         for st in stats:
             print(f"n={st.n} left_wins={st.left_wins} "
                   f"left_nodes={st.left_nodes} right_nodes={st.right_nodes} "
@@ -260,23 +266,10 @@ def _verify(args) -> int:
 
 def _check(args) -> int:
     check, reads = _SUITES[args.suite]
-    bounds = {}
-    for flag, value in (("--max-stones", args.max_stones),
-                        ("--max-parts", args.max_parts),
-                        ("--budget", args.budget)):
-        if value is None:
-            continue
-        if flag not in reads:
-            return _usage_error(f"check {args.suite} does not read {flag}")
-        keyword, cap = reads[flag]
-        if cap is not None and value > cap:
-            return _usage_error(f"check {args.suite}: {flag} {value} is over "
-                                f"the {cap} cap")
-        bounds[keyword] = value
-    report = check(**bounds)
+    report = check(**{keyword: getattr(args, keyword) for _, keyword, _ in reads
+                      if getattr(args, keyword) is not None})
     if not report.instances_checked:
-        return _usage_error(f"check {args.suite}: the bounds leave nothing "
-                            f"to check")
+        raise UsageError(f"check {args.suite}: the bounds leave nothing to check")
     print(f"theorem={report.theorem} instances={report.instances_checked} "
           f"failures={len(report.failures)}")
     for failure in report.failures:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .core import (
     BLACK, Game, Move, apply_move, canonical, clobbers, expand_shorthand,
-    legal_moves, part_token,
+    format_game, legal_moves, part_token,
 )
 from .asf import normalize
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
@@ -35,7 +35,7 @@ def require_scope(g: Game) -> None:
     """Raise NotInScope unless g is an S0 game.  The entry points check once
     here; `choose_left_move` does not, so no search node pays for it."""
     if not in_S0(g):
-        raise NotInScope(f"{g} is outside the strategy's scope")
+        raise NotInScope(f"{format_game(g, 'short')} is outside the strategy's scope")
 
 
 class StrategyGap(RuntimeError):
@@ -94,7 +94,7 @@ def _spiral_row(g: Game) -> Row | None:
         return None
     a = next((p for p in g.parts if in_shape(p, "A")), None)
     oo = next((p for p in g.parts if in_shape(p, "oO")), None)
-    if a is None or oo is None or a == oo:
+    if a is None or oo is None:
         return None
     j, k = len(a) // 2, len(oo) // 2
     m = 2 * (j - k) - 1
@@ -113,7 +113,7 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     S1 ∪ S2 ∪ LL ∪ {0} but some Left move does land there, that move is
     taken instead (rule id suffixed with "-fallback").  When no in-target
     move exists the mandated move stands; the bounded theorem checks surface
-    such games.
+    such games.  A game that no row matches raises StrategyGap.
     """
     if not g.parts:
         raise NotInScope("no moves on the empty game")
@@ -205,9 +205,7 @@ def _rule_row(g: Game) -> Row:
             if fits:
                 p = min(fits, key=lambda q: (len(q), q))
                 return rule_id, p, (f"{head}{len(p) + shift}",)
-    if in_S0(g):
-        raise StrategyGap(f"no rule matches S0 game {g}")
-    raise NotInScope(f"{g} is outside the strategy's scope")
+    raise StrategyGap(f"no rule matches {g}")
 
 
 def rule_rows_unique(max_stones: int = 30) -> list[str]:

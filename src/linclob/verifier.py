@@ -230,7 +230,7 @@ def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremRepo
     # Reachability: two moves by either player (the second player can be the
     # same as the first, standing in for play elsewhere in a larger sum).
     reachable: set[str] = set()
-    for k in range(2, reach_stones + 3, 2):
+    for k in range(2, reach_stones + 4, 2):
         a = canonical(alternating(k, "o"))
         reachable.add(a)
         for pieces in clobbers(a).values():

@@ -1,11 +1,15 @@
+import argparse
 import csv
 import inspect
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from linclob import cli, verifier
+from linclob import cli, strategy, verifier
 from linclob.cli import run
+from linclob.core import BudgetExceeded, EmptyPosition, ParseError
 from linclob.strategy import NotInScope, StrategyGap
 from linclob.verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
@@ -99,13 +103,15 @@ def test_best(capsys):
 
 def test_best_outside_the_strategy_is_a_usage_error(capsys):
     # x5 is no S game and no rule applies; oxo-oxo's standard form is 0;
-    # a8 + x5 is no S game although rule 1d moves on its a8
-    for position in ("x5", "oxo-oxo", "a8 + x5"):
+    # a8 + x5 is no S game although rule 1d moves on its a8; a6's standard
+    # form is 0, written as `best` writes its results
+    for position in ("x5", "oxo-oxo", "a8 + x5", "a6"):
         assert run(["best", position]) == 2, position
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+    assert captured.err == "error: 0 is outside the strategy's scope\n"
 
 
 def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
@@ -118,15 +124,30 @@ def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
     assert captured.err.startswith("error: no rule matches")
 
 
-def test_verify_reports_a_game_outside_the_strategy(capsys, monkeypatch):
-    def out_of_scope(g, ruleset):
-        raise NotInScope(f"{g} is outside the strategy's scope")
-    monkeypatch.setattr(verifier, "choose_left_move", out_of_scope)
+def test_verify_reports_a_strategy_gap(capsys, monkeypatch):
+    # a table without row 1d has no move on a8
+    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
+    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
     assert run(["verify", "--from", "8", "--to", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: oxoxoxox is outside the strategy's scope"]
+    assert captured.err.splitlines() == ["error: no rule matches oxoxoxox"]
+
+
+def test_each_error_has_one_exit_code(capsys, monkeypatch):
+    # EmptyPosition is a ParseError; an error outside the table propagates
+    def fail(args):
+        raise error("bad")
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    for error, code in ((ParseError, 2), (EmptyPosition, 2), (cli.UsageError, 2),
+                        (NotInScope, 2), (StrategyGap, 1), (BudgetExceeded, 3)):
+        assert run(["solve", "a4"]) == code, error
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad\n"
+    error = KeyError
+    with pytest.raises(KeyError):
+        run(["solve", "a4"])
 
 
 def test_equiv_exit_codes(capsys):
@@ -324,3 +345,29 @@ def test_check_that_checks_nothing_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nothing to check" in captured.err
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _flags(parser: argparse.ArgumentParser) -> list[str]:
+    return [flag for action in parser._actions for flag in action.option_strings
+            if flag not in ("-h", "--help")]
+
+
+def test_readme_lists_every_verb_suite_and_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    usage = [line.split() for line in block.splitlines()]
+    verbs = _subcommands(cli._parser())
+    commands = [((verb,), parser) for verb, parser in verbs.items() if verb != "check"]
+    commands += [(("check", suite), parser)
+                 for suite, parser in _subcommands(verbs["check"]).items()]
+    for words, parser in commands:
+        lines = [line for line in usage if line[1] == words[0]
+                 and (len(words) == 1 or words[1] in line[2].split("|"))]
+        assert len(lines) == 1, words
+        named = re.findall(r"--[\w-]+", " ".join(lines[0]))
+        assert set(_flags(parser)) <= set(named), words

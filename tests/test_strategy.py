@@ -8,8 +8,8 @@ from linclob.core import (
 )
 from linclob.asf import normalize
 from linclob.strategy import (
-    NotInScope, Ruleset, StrategyMove, ambiguous_rows, choose_left_move,
-    rule_rows_unique,
+    NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
+    choose_left_move, require_scope, rule_rows_unique,
 )
 from linclob.taxonomy import enumerate_s_games, in_left_target
 
@@ -169,8 +169,12 @@ def test_results_avoid_q():
 def test_out_of_scope():
     with pytest.raises(NotInScope):
         choose_left_move(Game(()))
+    # x5 is a negative part: the entry points' scope check refuses it, and
+    # the table, which no row of matches it, reports a gap
     with pytest.raises(NotInScope):
-        choose_left_move(norm("x5"))  # negative part, no rule applies
+        require_scope(norm("x5"))
+    with pytest.raises(StrategyGap, match="no rule matches xoxox"):
+        choose_left_move(norm("x5"))
 
 
 def test_improved_override_spiral():

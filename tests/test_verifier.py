@@ -107,6 +107,13 @@ def test_u_closure_small():
         assert (report.instances_checked, report.failures) == (instances, []), bounds
 
 
+def test_u_closure_has_no_false_failures_for_any_reach():
+    # a piece of r stones comes from a start of at least r + 2 stones, which
+    # for odd r is r + 3: oxo and xox (r = 3) need a6
+    for reach in range(1, 16):
+        assert check_u_closure(15, reach).failures == [], reach
+
+
 def test_asf_soundness_report():
     report = check_asf_soundness(SolveCache(order="fast"))
     # five beta samples and each listed left side of the other twelve rules
