@@ -54,8 +54,7 @@ _EXIT_CODES = {
 # keep the worst case within about 10 s (2-vCPU VM, Python 3.11): theorem-*
 # enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
 # u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
-# solves every start of up to max-stones stones (44: 8.9-9.5 s, 125 MiB; 42:
-# 4.6 s, 77 MiB).
+# solves every start of up to max-stones stones (44: 7.0-8.5 s, 89 MiB).
 _SUITES = {
     "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
             (("--budget", "max_stones", None),)),
@@ -243,9 +242,10 @@ def _verify(args) -> int:
         raise UsageError(f"no even start of at least 4 stones in "
                          f"{args.start}..{args.stop}")
     # Open the CSV before the search, so a path that cannot be written
-    # fails at once instead of after the whole range.
+    # fails at once instead of after the whole range.  Appending truncates
+    # nothing: an earlier CSV survives a search that ends in an error.
     try:
-        out = (open(args.csv_path, "w", newline="") if args.csv_path
+        out = (open(args.csv_path, "a", newline="") if args.csv_path
                else nullcontext())
     except OSError as e:
         raise UsageError(f"cannot write --csv {args.csv_path}: {e.strerror}") from None
@@ -256,6 +256,11 @@ def _verify(args) -> int:
                   f"left_nodes={st.left_nodes} right_nodes={st.right_nodes} "
                   f"runtime_seconds={st.elapsed:.2f}")
         if fh is not None:
+            # A file opened for appending starts at its end.  Only a file
+            # that held data is truncated: on ext4 a truncation makes the
+            # close write the new data out to disk at once.
+            if fh.tell():
+                fh.truncate(0)
             writer = csv.writer(fh)
             writer.writerow(["n", "runtime_seconds", "left_nodes", "right_nodes"])
             for st in stats:

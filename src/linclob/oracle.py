@@ -3,6 +3,13 @@
 This is the ground truth for everything else in the package.  It is a plain
 minimax over whole positions (no sum decomposition, no game values), so it
 stays independent of the rewrite system and strategy it is used to check.
+
+Every position the search stores has Left to move.  Right to move on g is
+the same game tree as Left to move on -g (every stone's colour flipped):
+that is the definition of negation, which swaps the players' roles, so it
+takes no rewrite rule and no cancelling of p + (-p) inside a position.  A
+Left move's child is therefore stored as its negative, Left to move again,
+and a game and its negative share one memo entry.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .core import (
-    BLACK, WHITE, BudgetExceeded, Game, add, clobbers, negate, opponent,
+    BLACK, WHITE, BudgetExceeded, Game, add, canonical, clobbers, flip, negate,
 )
 
 DEFAULT_MAX_STONES = 26
@@ -27,20 +34,24 @@ class OutcomeClass(Enum):
 
 @dataclass
 class SolveCache:
-    """Memo table mapping (game key, player to move) -> mover wins.
+    """Memo table mapping a position with Left to move -> Left wins.
 
-    `order` is "fast" (children sorted by (stones, parts), smallest first;
-    usually fewer nodes) or "counted" (the game-core move order, the
-    reference that the tests check against a literal search).  Both give the
-    same answers.  A node's children are built from `_moves`, each part's
-    cached per-player move list, and each carries its stone count, so
-    neither order re-reads the clobber tables or re-sums part lengths.
-    `table` is read only through `.get` and item assignment.
+    A position is its sorted tuple of parts.  Right to move on g is looked
+    up as Left to move on -g, so g and -g share one key; a self-negative
+    game such as a(2n) or g + (-g) answers its Right-first solve from the
+    Left-first one.  `order` is "fast" (children sorted by (stones, parts),
+    smallest first; usually fewer nodes) or "counted" (Left's moves in the
+    game-core scan order on the node's parts, the reference that the tests
+    check against a literal search).  Both give the same answers.  A node's
+    children are built from `_moves`, each part's cached list of Left moves
+    with their pieces already negated and their stone counts, so neither
+    order re-reads the clobber tables or re-sums part lengths.  `table` is
+    read only through `.get` and item assignment.
     """
 
     max_stones: int = DEFAULT_MAX_STONES
     order: str = "fast"
-    table: dict[tuple[tuple[str, ...], str], bool] = field(default_factory=dict)
+    table: dict[tuple[str, ...], bool] = field(default_factory=dict)
 
 
 def wins_moving_first(g: Game, player: str, cache: SolveCache) -> bool:
@@ -49,49 +60,60 @@ def wins_moving_first(g: Game, player: str, cache: SolveCache) -> bool:
         raise BudgetExceeded(
             f"{g.stones()} stones exceeds budget of {cache.max_stones}"
         )
-    return _solve(g.parts, player, cache)
+    return _solve(g.parts if player == BLACK else _negative(g.parts), cache)
 
 
-def _solve(parts: tuple[str, ...], player: str, cache: SolveCache) -> bool:
-    key = (parts, player)
-    hit = cache.table.get(key)
+def _solve(parts: tuple[str, ...], cache: SolveCache) -> bool:
+    """True iff Left, moving first on `parts`, wins."""
+    hit = cache.table.get(parts)
     if hit is not None:
         return hit
-    children = _children(parts, player)
+    children = _children(parts)
     if cache.order == "fast":
         children.sort()  # by (stones, child); every child is distinct
-    opp = opponent(player)
     result = False
     for _, child in children:
-        if not _solve(child, opp, cache):
+        if not _solve(child, cache):  # Right, to move on -child, loses
             result = True
             break
-    cache.table[key] = result
+    cache.table[parts] = result
     return result
 
 
 @lru_cache(maxsize=None)
-def _moves(part: str, player: str) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """`player`'s moves on the lone part: each distinct clobber's pieces once,
-    in `clobbers` scan order, with the change in stone count they make."""
+def _neg(part: str) -> str:
+    """The part's negative, canonically oriented."""
+    return canonical(flip(part))
+
+
+def _negative(parts: tuple[str, ...]) -> tuple[str, ...]:
+    """The position -g of g's parts: each part flipped, then sorted."""
+    return tuple(sorted(map(_neg, parts)))
+
+
+@lru_cache(maxsize=None)
+def _moves(part: str) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """Left's moves on the lone part: each distinct clobber's pieces once,
+    negated, in `clobbers` scan order, with the change in stone count."""
     moves: dict[tuple[str, ...], int] = {}
     for (f, _), pieces in clobbers(part).items():
-        if part[f - 1] == player:
-            moves[pieces] = sum(map(len, pieces)) - len(part)
+        if part[f - 1] == BLACK:
+            moves[_negative(pieces)] = sum(map(len, pieces)) - len(part)
     return tuple(moves.items())
 
 
-def _children(parts: tuple[str, ...],
-              player: str) -> list[tuple[int, tuple[str, ...]]]:
-    """The distinct positions `player` reaches in one move, in move order,
-    each with its stone count."""
+def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+    """The negatives of the distinct positions Left reaches in one move, in
+    move order, each with its stone count."""
     stones = sum(map(len, parts))
+    negated = _negative(parts)
     children: dict[tuple[str, ...], int] = {}
     for i, part in enumerate(parts):
         if i and part == parts[i - 1]:
             continue  # a copy of a part reaches the same positions again
-        rest = parts[:i] + parts[i + 1:]
-        for pieces, delta in _moves(part, player):
+        j = negated.index(_neg(part))
+        rest = negated[:j] + negated[j + 1:]
+        for pieces, delta in _moves(part):
             children[tuple(sorted(rest + pieces))] = stones + delta
     return list(zip(children.values(), children))
 

@@ -25,11 +25,12 @@ def test_solve(capsys):
 
 
 def test_solve_stats(capsys):
-    # the fast-order memo of both first-mover solves of a8
+    # the fast-order memo of both first-mover solves of a8, one entry per
+    # Left-to-move position
     assert run(["solve", "a8", "--stats"]) == 0
     outcome, stats = capsys.readouterr().out.splitlines()
     assert outcome == "N"
-    assert stats.startswith("memo_keys=10 seconds=")
+    assert stats.startswith("memo_keys=5 seconds=")
 
 
 def test_solve_budget_exit_code(capsys):
@@ -132,6 +133,21 @@ def test_verify_reports_a_strategy_gap(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: no rule matches oxoxoxox"]
+
+
+def test_verify_gap_keeps_an_earlier_csv(capsys, monkeypatch, tmp_path):
+    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
+    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+    path = tmp_path / "gap.csv"
+    path.write_text("sentinel\n")
+    assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 1
+    assert path.read_text() == "sentinel\n"
+    # a run that ends replaces the earlier CSV, it does not append to it
+    monkeypatch.undo()
+    assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,runtime_seconds,left_nodes,right_nodes"
+    assert len(lines) == 3
 
 
 def test_each_error_has_one_exit_code(capsys, monkeypatch):

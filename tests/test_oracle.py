@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linclob import oracle
 from linclob.core import (
-    BLACK, WHITE, Game, apply_move, legal_moves, negate, opponent,
+    BLACK, WHITE, Game, add, apply_move, legal_moves, negate, opponent,
     parse_position,
 )
 from linclob.oracle import (
@@ -53,10 +57,11 @@ def test_orders_agree(cache):
 
 
 def test_node_counts_per_order():
-    # Memo sizes pin the move order and the dedupe of the children.
-    expected = {"a8": (21, 10), "oo7 + a2": (23, 10), "oo5oo + ox": (8, 8),
-                "xxo + a4 + o5": (58, 46), "a12": (164, 120),
-                "a24": (6882, 2717)}
+    # Memo sizes pin the move order, the dedupe of the children and the
+    # Left-to-move keys.
+    expected = {"a8": (10, 5), "oo7 + a2": (17, 10), "oo5oo + ox": (6, 6),
+                "xxo + a4 + o5": (48, 41), "a12": (95, 48),
+                "a24": (3498, 1472)}
     for text, sizes in expected.items():
         got = []
         for order in ("counted", "fast"):
@@ -71,9 +76,22 @@ games = st.lists(parts, min_size=0, max_size=3).map(Game.of).filter(
     lambda g: g.stones() <= 12)
 
 
+def _literal_left_wins(g: Game, memo: dict) -> bool:
+    """Memoized minimax with Left to move over legal_moves/apply_move: the
+    negatives of Left's distinct children in move order (Left to move again),
+    searched up to the first one Left loses."""
+    if g.parts not in memo:
+        children = {negate(apply_move(g, m)).parts: None
+                    for m in legal_moves(g, BLACK)}
+        memo[g.parts] = any(not _literal_left_wins(Game(c), memo)
+                            for c in children)
+    return memo[g.parts]
+
+
 def _literal_wins(g: Game, player: str, memo: dict) -> bool:
-    """Memoized minimax over legal_moves/apply_move: the distinct children in
-    move order, searched up to the first one the opponent loses."""
+    """Memoized minimax keyed by (position, player to move): the distinct
+    children in move order, searched up to the first one the opponent loses.
+    It never negates, so it checks that the colour mirror is exact."""
     key = (g.parts, player)
     if key not in memo:
         children = {apply_move(g, m).parts: None for m in legal_moves(g, player)}
@@ -87,10 +105,53 @@ def _literal_wins(g: Game, player: str, memo: dict) -> bool:
 def test_counted_order_matches_a_literal_search(g):
     # same answers and same memo size: the same children in the same order
     cache, memo = SolveCache(order="counted"), {}
-    outcome(g, cache)
-    for player in (BLACK, WHITE):
-        assert cache.table[g.parts, player] == _literal_wins(g, player, memo)
+    for player, start in ((BLACK, g), (WHITE, negate(g))):
+        assert wins_moving_first(g, player, cache) == _literal_left_wins(start, memo)
     assert len(cache.table) == len(memo)
+
+
+@given(games)
+@settings(max_examples=60, deadline=None)
+def test_mirror_keys_match_a_search_over_both_players(g):
+    cache, memo = SolveCache(order="fast"), {}
+    for player in (BLACK, WHITE):
+        assert wins_moving_first(g, player, cache) == _literal_wins(g, player, memo)
+
+
+def test_self_negative_start_needs_one_solve():
+    # a24 is its own negative, so its Right-first solve is one lookup
+    cache = SolveCache(order="fast")
+    g = parse_position("a24")
+    wins_moving_first(g, BLACK, cache)
+    keys = len(cache.table)
+    assert outcome(g, cache) is OutcomeClass.N
+    assert len(cache.table) == keys
+
+
+def test_equivalent_to_itself_needs_one_solve():
+    cache = SolveCache(order="fast")
+    g = parse_position("oo7 + a2")
+    wins_moving_first(add(g, negate(g)), BLACK, cache)
+    keys = len(cache.table)
+    assert equivalent(g, g, cache)
+    assert len(cache.table) == keys
+
+
+def test_oracle_imports_only_core():
+    # the ground truth must not lean on the rewriter, taxonomy or strategy
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "linclob"):
+            module = (node.module or "").removeprefix("linclob").lstrip(".")
+            imported.update([module] if module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("linclob.")
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "linclob")
+    assert imported == {"core"}
 
 
 @given(games)
