@@ -9,14 +9,29 @@ rewriter.  Because every rule but beta rewrites a single part, `normalize`
 reaches the same fixpoint part by part: it merges each part's memoized normal
 form (computed once by the literal rewriter) and then cancels parts against
 their negatives.
+
+So normalizing only what a move changes is exact.  `normalize` counts part
+forms and cancels each part p against -p by count (n(p) - n(-p), or n mod 2
+for a self-negative part).  Counts add, so the standard form of a sum is the
+standard form of its summands' standard forms.  In a standard-form game every
+part is its own form and no two parts cancel.  After a move on one part, the
+child's standard form is therefore the other parts plus the standard form of
+the move's pieces, where each new part cancels at most one copy of its
+negative among the rest (`replace_part`).  `normalized_successors` builds
+every child that way.  The oracle does not use it: it stays on raw moves, so
+that it remains independent of the rewriter.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
-from .core import Game, canonical, flip
+from .core import Game, Move, canonical, clobbers, flip
+
+Parts = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,7 @@ def normalize(g: Game) -> Game:
             counts[q] = counts.get(q, 0) + 1
     kept: list[str] = []
     for p, n in counts.items():
-        partner = canonical(flip(p))
+        partner = _negative_part(p)
         n = n % 2 if partner == p else n - counts.get(partner, 0)
         if n > 0:
             kept += [p] * n
@@ -120,6 +135,45 @@ def normalize(g: Game) -> Game:
 def _part_form(part: str) -> tuple[str, ...]:
     """Normal form of a lone canonical part, by the literal rewriter."""
     return normalize_trace(Game((part,)))[0].parts
+
+
+@lru_cache(maxsize=None)
+def _negative_part(part: str) -> str:
+    """The part's negative, canonically oriented."""
+    return canonical(flip(part))
+
+
+def replace_part(parts: Parts, i: int, form: Parts) -> Parts:
+    """The standard form of the standard-form game `parts` with its part i
+    replaced by a sum whose standard form is `form`.  Only the new parts can
+    cancel, each against one copy of its negative among the rest."""
+    rest = list(parts)
+    del rest[i]
+    for q in form:
+        partner = _negative_part(q)
+        j = bisect_left(rest, partner)
+        if j < len(rest) and rest[j] == partner:
+            del rest[j]
+        else:
+            insort(rest, q)
+    return tuple(rest)
+
+
+@lru_cache(maxsize=None)
+def _successor_forms(part: str, player: str) -> tuple[tuple[int, int, Parts], ...]:
+    """The player's clobbers (from, to) on the lone part, in scan order, each
+    with the standard form of the pieces it leaves."""
+    return tuple((f, t, normalize(Game(pieces)).parts)
+                 for (f, t), pieces in clobbers(part).items() if part[f - 1] == player)
+
+
+def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
+    """Each move of `player` on the standard-form game g, in `legal_moves`
+    order, with the parts of the child's standard form: the same children as
+    `normalize(apply_move(g, m))`, built from the moved part alone."""
+    for i, part in enumerate(g.parts):
+        for f, t, form in _successor_forms(part, player):
+            yield Move(i, f, t), replace_part(g.parts, i, form)
 
 
 def normalize_trace(g: Game) -> tuple[Game, list[tuple[str, Game]]]:

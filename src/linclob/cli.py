@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -243,14 +244,21 @@ def _verify(args) -> int:
                          f"{args.start}..{args.stop}")
     # Open the CSV before the search, so a path that cannot be written
     # fails at once instead of after the whole range.  Appending truncates
-    # nothing: an earlier CSV survives a search that ends in an error.
+    # nothing: an earlier CSV survives a search that ends in an error, and a
+    # file this run created is removed again.
+    created = bool(args.csv_path) and not os.path.exists(args.csv_path)
     try:
         out = (open(args.csv_path, "a", newline="") if args.csv_path
                else nullcontext())
     except OSError as e:
         raise UsageError(f"cannot write --csv {args.csv_path}: {e.strerror}") from None
     with out as fh:
-        stats = verify_range(starts, Ruleset(args.ruleset))
+        try:
+            stats = verify_range(starts, Ruleset(args.ruleset))
+        except BaseException:
+            if created:
+                os.remove(args.csv_path)
+            raise
         for st in stats:
             print(f"n={st.n} left_wins={st.left_wins} "
                   f"left_nodes={st.left_nodes} right_nodes={st.right_nodes} "

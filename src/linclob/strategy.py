@@ -8,7 +8,8 @@ precedence order, so the first row that applies fixes the move.
 Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
 lone part, which is exact for the whole game: `normalize` merges part forms
 and cancels p against -p, and the rest of a standard-form game is its own
-form.  `rule_rows_unique` checks that lookup on every row.
+form.  So Left's result is the row's target form put in place of the part
+(`asf.replace_part`).  `rule_rows_unique` checks that lookup on every row.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import (
-    BLACK, Game, Move, apply_move, canonical, clobbers, expand_shorthand,
-    format_game, legal_moves, part_token,
+    BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
+    part_token,
 )
-from .asf import normalize
+from .asf import normalize, normalized_successors, replace_part
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -68,23 +69,27 @@ def _part(token: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _row_clobbers(part: str, tokens: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+def _row_clobbers(part: str, tokens: tuple[str, ...]
+                  ) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
     """The Left clobbers (from, to) on the lone `part` whose pieces normalize
-    to the standard form of `tokens`, in `clobbers(part)` scan order."""
-    target = normalize(_game(*tokens))
-    return tuple(c for c, pieces in clobbers(part).items()
-                 if part[c[0] - 1] == BLACK and normalize(Game(pieces)) == target)
+    to the standard form of `tokens`, in `clobbers(part)` scan order, and the
+    parts of that standard form."""
+    target = normalize(_game(*tokens)).parts
+    hits = tuple(c for c, pieces in clobbers(part).items()
+                 if part[c[0] - 1] == BLACK and normalize(Game(pieces)).parts == target)
+    return hits, target
 
 
 def _realize(g: Game, rule_id: str, part: str,
              tokens: tuple[str, ...]) -> StrategyMove:
     """The row's first clobber, played on the first copy of `part` in g."""
-    hits = _row_clobbers(part, tokens)
+    hits, target = _row_clobbers(part, tokens)
     if not hits:
         raise StrategyGap(f"rule {rule_id}: no Left move on {part} reaches "
                           f"{' + '.join(tokens) or '0'}")
-    move = Move(g.parts.index(part), *hits[0])
-    return StrategyMove(rule_id, move, normalize(apply_move(g, move)))
+    i = g.parts.index(part)
+    return StrategyMove(rule_id, Move(i, *hits[0]),
+                        Game(replace_part(g.parts, i, target)))
 
 
 def _spiral_row(g: Game) -> Row | None:
@@ -121,8 +126,8 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     chosen = _realize(g, *(row or _rule_row(g)))
     if in_left_target(chosen.result):
         return chosen
-    for m in legal_moves(g, BLACK):
-        result = normalize(apply_move(g, m))
+    for m, child in normalized_successors(g, BLACK):
+        result = Game(child)
         if in_left_target(result):
             return StrategyMove(chosen.rule_id + "-fallback", m, result)
     return chosen
@@ -233,6 +238,6 @@ def ambiguous_rows(cases: Iterable[tuple[str, str, Iterable[str]]]) -> list[str]
     for rule_id, token, tokens in cases:
         part, tokens = _part(token), tuple(tokens)
         table = clobbers(part)
-        if len({table[c] for c in _row_clobbers(part, tokens)}) != 1:
+        if len({table[c] for c in _row_clobbers(part, tokens)[0]}) != 1:
             bad.append(f"{rule_id}:{part_token(part)}->{'+'.join(tokens) or '0'}")
     return bad

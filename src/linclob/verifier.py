@@ -1,9 +1,10 @@
 """Exhaustive adversarial verification and bounded theorem checks.
 
-Left plays by rule, Right tries every move; positions are re-normalized
-after every move and results memoized on (normalized game, mover), together
-with the children each node's search explored.  A range of starts shares one
-memo, and each start's node counts are read off the children it reaches.
+Left plays by rule, Right tries every move.  Each child is built in standard
+form from the moved part alone (`asf.normalized_successors`), and results are
+memoized on (normalized game, mover), together with the children each node's
+search explored.  A range of starts shares one memo, and each start's node
+counts are read off the children it reaches.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (
-    BLACK, WHITE, Game, alternating, apply_move, canonical, clobbers, flip,
-    legal_moves, opponent,
+    BLACK, WHITE, Game, alternating, canonical, clobbers, flip, opponent,
 )
-from .asf import normalize, rule_table
+from .asf import normalize, normalized_successors, rule_table
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
 from .strategy import Ruleset, StrategyGap, choose_left_move, require_scope
 from .taxonomy import (
@@ -92,8 +92,7 @@ def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
         return True
     result = True
     explored: dict[Parts, None] = {}  # distinct children in move order
-    for m in legal_moves(g, WHITE):
-        child = normalize(apply_move(g, m)).parts
+    for _, child in normalized_successors(g, WHITE):
         if child in explored:
             continue
         explored[child] = None
@@ -154,8 +153,8 @@ def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremRepo
     for g in enumerate_s_games(max_stones, max_parts):
         if s_class(g) not in (SClass.S1, SClass.S2):
             continue
-        for m in legal_moves(g, WHITE):
-            h = normalize(apply_move(g, m))
+        for m, child in normalized_successors(g, WHITE):
+            h = Game(child)
             report.instances_checked += 1
             if s_class(h) is SClass.NotInS:
                 report.failures.append((g, m, h))

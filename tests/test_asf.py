@@ -1,11 +1,18 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from linclob.core import Game, canonical, flip, is_monochromatic, parse_position
-from linclob.asf import apply_once, normalize, normalize_trace, potential, rule_table
+from linclob.core import (
+    BLACK, WHITE, Game, apply_move, canonical, clobbers, flip, is_monochromatic,
+    legal_moves, parse_position,
+)
+from linclob.asf import (
+    apply_once, normalize, normalize_trace, normalized_successors, potential,
+    rule_table,
+)
 from linclob.oracle import SolveCache, equivalent
+from linclob.taxonomy import enumerate_s_games, u_parts
 
 
 def norm(text: str) -> Game:
@@ -132,3 +139,55 @@ def sums_with_negatives(draw):
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_literal_reference(g):
     assert normalize(g) == normalize_trace(g)[0]
+
+
+def _successors_match_reference(g: Game, literal: bool = False) -> None:
+    """normalized_successors gives legal_moves' moves in order, each with
+    the standard form of the raw child (and of the literal rewriter's)."""
+    for player in (BLACK, WHITE):
+        got = list(normalized_successors(g, player))
+        assert [m for m, _ in got] == legal_moves(g, player), (g, player)
+        for m, child in got:
+            raw = apply_move(g, m)
+            assert child == normalize(raw).parts, (g, m)
+            if literal:
+                assert child == normalize_trace(raw)[0].parts, (g, m)
+
+
+def test_successors_match_normalize_on_every_small_s_game():
+    games = list(enumerate_s_games(20, 4))
+    assert len(games) > 400
+    for g in games:
+        _successors_match_reference(g)
+
+
+_U_POOL = u_parts(12)
+_SELF_NEGATIVE = [p for p in _U_POOL if canonical(flip(p)) == p]  # a(2n), oAx
+
+
+@st.composite
+def standard_u_sums(draw):
+    """Standard-form sums of 1-5 U parts, mixing in copies of a part,
+    self-negative parts and the negatives of the standard-form pieces a move
+    on a part leaves, so that a move's new parts meet what they cancel."""
+    base = draw(st.lists(st.sampled_from(_U_POOL), min_size=1, max_size=3))
+    extra = []
+    for p in base:
+        kind = draw(st.sampled_from(("none", "copy", "self", "negative")))
+        if kind == "copy":
+            extra.append(p)
+        elif kind == "self":
+            extra.append(draw(st.sampled_from(_SELF_NEGATIVE)))
+        elif kind == "negative" and clobbers(p):
+            pieces = draw(st.sampled_from(list(clobbers(p).values())))
+            extra += [flip(q) for q in normalize(Game(pieces)).parts]
+    return normalize(Game.of((base + extra)[:5]))
+
+
+@given(standard_u_sums())
+# a move that leaves the negative of a part held twice cancels one copy
+@example(parse_position("oox + oox + a4"))  # Left's 4->3 on a4 leaves xxo
+@example(parse_position("oo6 + xxo + xxo"))  # Right's 4->5 on oo6 leaves oox
+@settings(max_examples=300, deadline=None)
+def test_successors_match_normalize_on_random_u_sums(g):
+    _successors_match_reference(g, literal=g.stones() <= 12)

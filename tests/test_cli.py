@@ -150,6 +150,14 @@ def test_verify_gap_keeps_an_earlier_csv(capsys, monkeypatch, tmp_path):
     assert len(lines) == 3
 
 
+def test_verify_gap_leaves_no_csv_on_a_new_path(monkeypatch, tmp_path):
+    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
+    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+    path = tmp_path / "new.csv"
+    assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 1
+    assert not path.exists()
+
+
 def test_each_error_has_one_exit_code(capsys, monkeypatch):
     # EmptyPosition is a ParseError; an error outside the table propagates
     def fail(args):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from linclob.core import BLACK, Game, alternating, parse_position
@@ -55,6 +58,29 @@ def test_shared_memo_counts_match_separate_runs(ruleset):
     want = counts(alone.values())
     assert counts(verify_range(starts, ruleset)) == want
     assert counts(verify_range(starts[::-1], ruleset)) == want
+
+
+_EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
+
+# (left_nodes, right_nodes) of each start a(2n) of improved 8..40, by n.
+_IMPROVED_NODES = {
+    4: (3, 3), 5: (5, 3), 6: (1, 1), 7: (10, 7), 8: (17, 8), 9: (31, 15),
+    10: (39, 21), 11: (64, 27), 12: (90, 36), 13: (118, 49), 14: (205, 80),
+    15: (268, 102), 16: (383, 133), 17: (608, 202), 18: (843, 270),
+    19: (1172, 356), 20: (1654, 487),
+}
+
+
+def test_range_matches_the_benchmark_reference():
+    # the verdicts and node counts the benchmark's answer gate holds verify to
+    expected = json.loads(_EXPECTED_VERIFY.read_text())
+    starts = range(8, 41, 2)
+    got = {st.n: {"left_wins": st.left_wins, "left_nodes": st.left_nodes,
+                  "right_nodes": st.right_nodes} for st in verify_range(starts)}
+    assert got == {s // 2: expected[str(s // 2)] for s in starts}
+    improved = verify_range(starts, Ruleset.IMPROVED)
+    assert all(st.left_wins for st in improved)
+    assert {st.n: (st.left_nodes, st.right_nodes) for st in improved} == _IMPROVED_NODES
 
 
 def test_agreement_with_oracle_up_to_20_stones():
