@@ -18,8 +18,12 @@ part is its own form and no two parts cancel.  After a move on one part, the
 child's standard form is therefore the other parts plus the standard form of
 the move's pieces, where each new part cancels at most one copy of its
 negative among the rest (`replace_part`).  `normalized_successors` builds
-every child that way.  The oracle does not use it: it stays on raw moves, so
-that it remains independent of the rewriter.
+every child that way, from each part's cached table of clobbers and their
+pieces' standard forms (`part_successors`).  `normalized_children` yields only
+the distinct children a search needs: one per distinct form of each part, and
+nothing for a copy of the part before it, which has the same children.  The
+oracle uses neither: it stays on raw moves, so that it remains independent of
+the rewriter.
 """
 
 from __future__ import annotations
@@ -160,11 +164,18 @@ def replace_part(parts: Parts, i: int, form: Parts) -> Parts:
 
 
 @lru_cache(maxsize=None)
-def _successor_forms(part: str, player: str) -> tuple[tuple[int, int, Parts], ...]:
+def part_successors(part: str, player: str) -> tuple[tuple[int, int, Parts], ...]:
     """The player's clobbers (from, to) on the lone part, in scan order, each
     with the standard form of the pieces it leaves."""
     return tuple((f, t, normalize(Game(pieces)).parts)
                  for (f, t), pieces in clobbers(part).items() if part[f - 1] == player)
+
+
+@lru_cache(maxsize=None)
+def _distinct_forms(part: str, player: str) -> tuple[Parts, ...]:
+    """The distinct forms of `part_successors(part, player)`, in first-occurrence
+    order."""
+    return tuple(dict.fromkeys(form for _, _, form in part_successors(part, player)))
 
 
 def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
@@ -172,8 +183,24 @@ def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
     order, with the parts of the child's standard form: the same children as
     `normalize(apply_move(g, m))`, built from the moved part alone."""
     for i, part in enumerate(g.parts):
-        for f, t, form in _successor_forms(part, player):
+        for f, t, form in part_successors(part, player):
             yield Move(i, f, t), replace_part(g.parts, i, form)
+
+
+def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
+    """The children of `normalized_successors(Game(parts), player)` with no
+    `Move`, each distinct child first met on a part yielded once, in
+    first-occurrence order.  A copy of the part before it is skipped: the
+    parts are sorted, so copies are adjacent, and a copy has the same
+    children.  Distinct forms of one part give distinct children, but two
+    parts may still give the same child."""
+    prev = None
+    for i, part in enumerate(parts):
+        if part == prev:
+            continue
+        prev = part
+        for form in _distinct_forms(part, player):
+            yield replace_part(parts, i, form)
 
 
 def normalize_trace(g: Game) -> tuple[Game, list[tuple[str, Game]]]:

@@ -125,7 +125,9 @@ def clobbers(part: str) -> Mapping[tuple[int, int], tuple[str, ...]]:
         for t in (f - 1, f + 1):
             if 0 <= t < len(part) and part[t] != part[f]:
                 moved = part[:t] + part[f] + part[t + 1:]
-                table[f + 1, t + 1] = Game.of((moved[:f], moved[f + 1:])).parts
+                table[f + 1, t + 1] = tuple(sorted(
+                    canonical(piece) for piece in (moved[:f], moved[f + 1:])
+                    if not is_monochromatic(piece)))
     return MappingProxyType(table)
 
 

@@ -6,10 +6,12 @@ table is data, stated once: `_WHOLE_GAME_ROWS` holds the rows stated for one
 whole game, looked up first, and `_RULE_ROWS` lists every other rule in
 precedence order, so the first row that applies fixes the move.
 Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
-lone part, which is exact for the whole game: `normalize` merges part forms
-and cancels p against -p, and the rest of a standard-form game is its own
-form.  So Left's result is the row's target form put in place of the part
-(`asf.replace_part`).  `rule_rows_unique` checks that lookup on every row.
+lone part, from the part's table of Left clobbers and their pieces' standard
+forms (`asf.part_successors`), which is exact for the whole game:
+`normalize` merges part forms and cancels p against -p, and the rest of a
+standard-form game is its own form.  So Left's result is the row's target
+form put in place of the part (`asf.replace_part`).  `rule_rows_unique`
+checks that lookup on every row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
     part_token,
 )
-from .asf import normalize, normalized_successors, replace_part
+from .asf import normalize, normalized_successors, part_successors, replace_part
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -73,10 +75,11 @@ def _row_clobbers(part: str, tokens: tuple[str, ...]
                   ) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
     """The Left clobbers (from, to) on the lone `part` whose pieces normalize
     to the standard form of `tokens`, in `clobbers(part)` scan order, and the
-    parts of that standard form."""
+    parts of that standard form.  The pieces' forms are read off the part's
+    table, `asf.part_successors`."""
     target = normalize(_game(*tokens)).parts
-    hits = tuple(c for c, pieces in clobbers(part).items()
-                 if part[c[0] - 1] == BLACK and normalize(Game(pieces)).parts == target)
+    hits = tuple((f, t) for f, t, form in part_successors(part, BLACK)
+                 if form == target)
     return hits, target
 
 
@@ -215,9 +218,14 @@ def _rule_row(g: Game) -> Row:
 
 def rule_rows_unique(max_stones: int = 30) -> list[str]:
     """Self-test of the whole table: each row's result is reached from its
-    lone part by exactly one position.  Checks the whole-game and fixed rows,
-    the row chosen on each lone K part and the spiral rows on a-parts of at
-    most `max_stones` stones.  Returns offending rows."""
+    lone part by exactly one position.  Checks the rows of
+    `table_rows(max_stones)`.  Returns offending rows."""
+    return ambiguous_rows(table_rows(max_stones))
+
+
+def table_rows(max_stones: int = 30) -> list[Row]:
+    """The whole-game and fixed rows, the row chosen on each lone K part and
+    the spiral rows on a-parts of at most `max_stones` stones."""
     cases = list(_WHOLE_GAME_ROWS.values())
     cases += [(r[0], r[2], r[3]) for r in _RULE_ROWS if len(r) == 4]
     cases += [_rule_row(Game((p,))) for p in k_parts(max_stones)]
@@ -226,7 +234,7 @@ def rule_rows_unique(max_stones: int = 30) -> list[str]:
             row = _spiral_row(_game(f"a{a}", f"oo{oo}"))
             if row is not None:
                 cases.append(row)
-    return ambiguous_rows(cases)
+    return cases
 
 
 def ambiguous_rows(cases: Iterable[tuple[str, str, Iterable[str]]]) -> list[str]:

@@ -1,10 +1,13 @@
 """Exhaustive adversarial verification and bounded theorem checks.
 
-Left plays by rule, Right tries every move.  Each child is built in standard
-form from the moved part alone (`asf.normalized_successors`), and results are
-memoized on (normalized game, mover), together with the children each node's
-search explored.  A range of starts shares one memo, and each start's node
-counts are read off the children it reaches.
+Left plays by rule, Right tries every move.  A Right node builds each of its
+distinct children once, in standard form from the moved part alone
+(`asf.normalized_children`: one child per distinct form of a part, and none
+for a copy of the part before it), and results are memoized on (normalized
+game, mover), together with the children each node's search explored.  A
+range of starts shares one memo, and each start's node counts are read off
+the children it reaches: a walk over the Left and the Right parts it reaches,
+alternating between the two.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import (
-    BLACK, WHITE, Game, alternating, canonical, clobbers, flip, opponent,
-)
-from .asf import normalize, normalized_successors, rule_table
+from .core import BLACK, WHITE, Game, alternating, canonical, clobbers, flip
+from .asf import normalize, normalized_children, normalized_successors, rule_table
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
 from .strategy import Ruleset, StrategyGap, choose_left_move, require_scope
 from .taxonomy import (
@@ -84,15 +85,14 @@ def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
     hit = memo.get(key)
     if hit is not None:
         return hit[0]
-    g = Game(parts)
-    if in_LL(g):
+    if in_LL(Game(parts)):
         # Certified endgames: the oracle establishes each of these is a Left
         # win with either player to move, so the rule-based search stops here.
         memo[key] = (True, ())
         return True
     result = True
     explored: dict[Parts, None] = {}  # distinct children in move order
-    for _, child in normalized_successors(g, WHITE):
+    for child in normalized_children(parts, WHITE):
         if child in explored:
             continue
         explored[child] = None
@@ -104,20 +104,26 @@ def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
 
 
 def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
-    """Left and Right keys reachable from the Left root over the explored
-    children.  A node's explored children depend only on the node, so these
-    are the sizes a memo of the root's search alone would have."""
-    seen = {(root, BLACK)}
-    todo = [(root, BLACK)]
+    """The numbers of Left and Right nodes reachable from the Left root over
+    the explored children.  A node's explored children depend only on the
+    node, so these are the sizes a memo of the root's search alone would
+    have."""
+    left, right = {root}, set()
+    todo = [root]
     while todo:
-        key = todo.pop()
-        mover = opponent(key[1])
-        for child in memo[key][1]:
-            if (child, mover) not in seen:
-                seen.add((child, mover))
-                todo.append((child, mover))
-    left = sum(1 for _, mover in seen if mover == BLACK)
-    return left, len(seen) - left
+        frontier = []
+        for parts in todo:
+            for child in memo[parts, BLACK][1]:
+                if child not in right:
+                    right.add(child)
+                    frontier.append(child)
+        todo = []
+        for parts in frontier:
+            for child in memo[parts, WHITE][1]:
+                if child not in left:
+                    left.add(child)
+                    todo.append(child)
+    return len(left), len(right)
 
 
 def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,

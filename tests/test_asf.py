@@ -1,6 +1,5 @@
 from itertools import product
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linclob.core import (
@@ -8,8 +7,8 @@ from linclob.core import (
     legal_moves, parse_position,
 )
 from linclob.asf import (
-    apply_once, normalize, normalize_trace, normalized_successors, potential,
-    rule_table,
+    apply_once, normalize, normalize_trace, normalized_children,
+    normalized_successors, potential, rule_table,
 )
 from linclob.oracle import SolveCache, equivalent
 from linclob.taxonomy import enumerate_s_games, u_parts
@@ -154,11 +153,31 @@ def _successors_match_reference(g: Game, literal: bool = False) -> None:
                 assert child == normalize_trace(raw)[0].parts, (g, m)
 
 
+def _children_match_distinct_successors(g: Game) -> None:
+    """normalized_children gives the distinct children of
+    normalized_successors in first-occurrence order, and repeats a child
+    only if another part reaches it too."""
+    for player in (BLACK, WHITE):
+        got = list(normalized_children(g.parts, player))
+        want = [child for _, child in normalized_successors(g, player)]
+        assert list(dict.fromkeys(got)) == list(dict.fromkeys(want)), (g, player)
+        parts_reaching = {}
+        for m, child in normalized_successors(g, player):
+            parts_reaching.setdefault(child, set()).add(g.parts[m.part_index])
+        for child in set(got):
+            assert got.count(child) <= len(parts_reaching[child]), (g, player, child)
+
+
 def test_successors_match_normalize_on_every_small_s_game():
     games = list(enumerate_s_games(20, 4))
     assert len(games) > 400
     for g in games:
         _successors_match_reference(g)
+
+
+def test_children_match_distinct_successors_on_every_small_s_game():
+    for g in enumerate_s_games(20, 4):
+        _children_match_distinct_successors(g)
 
 
 _U_POOL = u_parts(12)
@@ -191,3 +210,11 @@ def standard_u_sums(draw):
 @settings(max_examples=300, deadline=None)
 def test_successors_match_normalize_on_random_u_sums(g):
     _successors_match_reference(g, literal=g.stones() <= 12)
+
+
+@given(standard_u_sums())
+@example(parse_position("oox + oox + a4"))
+@example(parse_position("oo6 + xxo + xxo"))
+@settings(max_examples=300, deadline=None)
+def test_children_match_distinct_successors_on_random_u_sums(g):
+    _children_match_distinct_successors(g)

@@ -4,12 +4,13 @@ import pytest
 
 from linclob import strategy
 from linclob.core import (
-    BLACK, Game, apply_move, expand_shorthand, legal_moves, parse_position,
+    BLACK, Game, apply_move, clobbers, expand_shorthand, legal_moves,
+    parse_position,
 )
 from linclob.asf import normalize
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
-    choose_left_move, require_scope, rule_rows_unique,
+    choose_left_move, require_scope, rule_rows_unique, table_rows,
 )
 from linclob.taxonomy import enumerate_s_games, in_left_target
 
@@ -191,6 +192,21 @@ def test_improved_override_spiral():
 def test_rule_rows_are_unambiguous():
     # whole-game, fixed, lone-K-part and spiral rows
     assert rule_rows_unique(30) == []
+
+
+def test_row_clobbers_match_a_literal_filter():
+    # every row rule_rows_unique(30) checks: whole-game, fixed, lone-K-part
+    # and spiral rows
+    rows = table_rows(30)
+    kinds = {rule_id for rule_id, _, _ in rows}
+    assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
+    for rule_id, part, tokens in rows:
+        target = normalize(Game.of(expand_shorthand(t) for t in tokens)).parts
+        hits = tuple(c for c, pieces in clobbers(part).items()
+                     if part[c[0] - 1] == BLACK
+                     and normalize(Game(pieces)).parts == target)
+        assert strategy._row_clobbers(part, tuple(tokens)) == (hits, target), \
+            (rule_id, part, tokens)
 
 
 def _whole_game_search(g: Game, rule_id: str, part: str,

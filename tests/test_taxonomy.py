@@ -110,6 +110,17 @@ def test_k_slots_are_disjoint_and_exclusive():
         assert len(slots) == 1, (p, slots)
 
 
+def test_part_slot_and_in_k():
+    # one member of each class, in slot order (a, b, c, d, e, f, y, z)
+    members = ("o5", "oo10", "oox", "a4", "xxo", "oo8", "a8", "oo7")
+    for slot, token in enumerate(members):
+        assert part_slot(part(token)) == slot, token
+        assert in_K(part(token)), token
+    for token in ("a6", "o9"):  # A and O members outside every class
+        assert part_slot(part(token)) is None, token
+        assert not in_K(part(token)), token
+
+
 def test_count_vector_slots():
     g = norm("o5 + oo10 + oo9oo + a4 + xxo + oo8 + a8 + oo7")
     assert count_vector(g) == (1, 1, 1, 1, 1, 1, 1, 1)
