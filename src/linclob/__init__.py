@@ -18,7 +18,7 @@ from .taxonomy import (
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
-    require_scope, rule_rows_unique,
+    require_scope,
 )
 from .verifier import (
     TheoremReport, VerifyStats, check_asf_soundness, check_conjecture,

@@ -6,24 +6,22 @@ the sum of squared part sizes, so iteration terminates.
 
 `apply_once` and `normalize_trace` are the literal, preference-ordered
 rewriter.  Because every rule but beta rewrites a single part, `normalize`
-reaches the same fixpoint part by part: it merges each part's memoized normal
-form (computed once by the literal rewriter) and then cancels parts against
-their negatives.
+reaches the same fixpoint part by part: it takes each part's memoized normal
+form (computed once by the literal rewriter) and adds those forms' parts to
+the empty game with `add_form`.
 
-So normalizing only what a move changes is exact.  `normalize` counts part
-forms and cancels each part p against -p by count (n(p) - n(-p), or n mod 2
-for a self-negative part).  Counts add, so the standard form of a sum is the
-standard form of its summands' standard forms.  In a standard-form game every
-part is its own form and no two parts cancel.  After a move on one part, the
-child's standard form is therefore the other parts plus the standard form of
-the move's pieces, where each new part cancels at most one copy of its
-negative among the rest (`replace_part`).  `normalized_successors` builds
-every child that way, from each part's cached table of clobbers and their
-pieces' standard forms (`part_successors`).  `normalized_children` yields only
-the distinct children a search needs: one per distinct form of each part, and
-nothing for a copy of the part before it, which has the same children.  The
-oracle uses neither: it stays on raw moves, so that it remains independent of
-the rewriter.
+`add_form` states the cancel rule once: each new part cancels one copy of
+its negative if one is present, and is otherwise inserted in order.  A game
+built that way never holds both p and -p, so a self-negative part keeps its
+multiplicity mod 2.  In a standard-form game every part is its own form and
+no two parts cancel, so after a move on one part the child's standard form
+is `add_form` of the other parts and the standard form of the move's pieces.
+`normalized_successors` builds every child that way, from each part's cached
+table of clobbers and their pieces' standard forms (`part_successors`).
+`normalized_children` yields only the distinct children a search needs: one
+per distinct form of each part, and nothing for a copy of the part before
+it, which has the same children.  The oracle uses neither: it stays on raw
+moves, so that it remains independent of the rewriter.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .core import Game, Move, canonical, clobbers, flip
+from .core import Game, Move, canonical, clobbers, flip, negative
 
 Parts = tuple[str, ...]
 
@@ -121,18 +119,7 @@ def apply_once(g: Game) -> tuple[RewriteRule, Game] | None:
 
 def normalize(g: Game) -> Game:
     """The standard form of g: the fixpoint of apply_once, built per part."""
-    counts: dict[str, int] = {}
-    for p in g.parts:
-        for q in _part_form(p):
-            counts[q] = counts.get(q, 0) + 1
-    kept: list[str] = []
-    for p, n in counts.items():
-        partner = _negative_part(p)
-        n = n % 2 if partner == p else n - counts.get(partner, 0)
-        if n > 0:
-            kept += [p] * n
-    kept.sort()
-    return Game(tuple(kept))
+    return Game(add_form((), [q for p in g.parts for q in _part_form(p)]))
 
 
 @lru_cache(maxsize=None)
@@ -141,26 +128,19 @@ def _part_form(part: str) -> tuple[str, ...]:
     return normalize_trace(Game((part,)))[0].parts
 
 
-@lru_cache(maxsize=None)
-def _negative_part(part: str) -> str:
-    """The part's negative, canonically oriented."""
-    return canonical(flip(part))
-
-
-def replace_part(parts: Parts, i: int, form: Parts) -> Parts:
-    """The standard form of the standard-form game `parts` with its part i
-    replaced by a sum whose standard form is `form`.  Only the new parts can
-    cancel, each against one copy of its negative among the rest."""
-    rest = list(parts)
-    del rest[i]
+def add_form(parts: Parts, form: Iterable[str]) -> Parts:
+    """The standard form of the standard-form game `parts` plus the parts
+    `form`, each its own standard form: each new part cancels one copy of
+    its negative if one is present, and is otherwise inserted in order."""
+    kept = list(parts)
     for q in form:
-        partner = _negative_part(q)
-        j = bisect_left(rest, partner)
-        if j < len(rest) and rest[j] == partner:
-            del rest[j]
+        partner = negative(q)
+        j = bisect_left(kept, partner)
+        if j < len(kept) and kept[j] == partner:
+            del kept[j]
         else:
-            insort(rest, q)
-    return tuple(rest)
+            insort(kept, q)
+    return tuple(kept)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +163,9 @@ def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
     order, with the parts of the child's standard form: the same children as
     `normalize(apply_move(g, m))`, built from the moved part alone."""
     for i, part in enumerate(g.parts):
+        rest = g.parts[:i] + g.parts[i + 1:]
         for f, t, form in part_successors(part, player):
-            yield Move(i, f, t), replace_part(g.parts, i, form)
+            yield Move(i, f, t), add_form(rest, form)
 
 
 def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
@@ -199,8 +180,9 @@ def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
         if part == prev:
             continue
         prev = part
+        rest = parts[:i] + parts[i + 1:]
         for form in _distinct_forms(part, player):
-            yield replace_part(parts, i, form)
+            yield add_form(rest, form)
 
 
 def normalize_trace(g: Game) -> tuple[Game, list[tuple[str, Game]]]:

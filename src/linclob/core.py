@@ -99,9 +99,15 @@ class Game:
         return format_game(self)
 
 
+@lru_cache(maxsize=None)
+def negative(part: str) -> str:
+    """The part's negative: every stone's color flipped, canonically oriented."""
+    return canonical(flip(part))
+
+
 def negate(g: Game) -> Game:
     """Color-flip every stone; the negative of the game."""
-    return Game.of(flip(p) for p in g.parts)
+    return Game(tuple(sorted(map(negative, g.parts))))
 
 
 def add(*games: Game) -> Game:

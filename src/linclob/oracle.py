@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .core import (
-    BLACK, WHITE, BudgetExceeded, Game, add, canonical, clobbers, flip, negate,
+    BLACK, WHITE, BudgetExceeded, Game, add, clobbers, negate, negative,
 )
 
 DEFAULT_MAX_STONES = 26
@@ -80,15 +80,9 @@ def _solve(parts: tuple[str, ...], cache: SolveCache) -> bool:
     return result
 
 
-@lru_cache(maxsize=None)
-def _neg(part: str) -> str:
-    """The part's negative, canonically oriented."""
-    return canonical(flip(part))
-
-
 def _negative(parts: tuple[str, ...]) -> tuple[str, ...]:
     """The position -g of g's parts: each part flipped, then sorted."""
-    return tuple(sorted(map(_neg, parts)))
+    return tuple(sorted(map(negative, parts)))
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +105,7 @@ def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     for i, part in enumerate(parts):
         if i and part == parts[i - 1]:
             continue  # a copy of a part reaches the same positions again
-        j = negated.index(_neg(part))
+        j = negated.index(negative(part))
         rest = negated[:j] + negated[j + 1:]
         for pieces, delta in _moves(part):
             children[tuple(sorted(rest + pieces))] = stones + delta

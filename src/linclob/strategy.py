@@ -10,8 +10,8 @@ lone part, from the part's table of Left clobbers and their pieces' standard
 forms (`asf.part_successors`), which is exact for the whole game:
 `normalize` merges part forms and cancels p against -p, and the rest of a
 standard-form game is its own form.  So Left's result is the row's target
-form put in place of the part (`asf.replace_part`).  `rule_rows_unique`
-checks that lookup on every row.
+form added to the rest of the game (`asf.add_form`).  `ambiguous_rows`
+checks that lookup on every row of `table_rows`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
     part_token,
 )
-from .asf import normalize, normalized_successors, part_successors, replace_part
+from .asf import add_form, normalize, normalized_successors, part_successors
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -91,8 +91,8 @@ def _realize(g: Game, rule_id: str, part: str,
         raise StrategyGap(f"rule {rule_id}: no Left move on {part} reaches "
                           f"{' + '.join(tokens) or '0'}")
     i = g.parts.index(part)
-    return StrategyMove(rule_id, Move(i, *hits[0]),
-                        Game(replace_part(g.parts, i, target)))
+    rest = g.parts[:i] + g.parts[i + 1:]
+    return StrategyMove(rule_id, Move(i, *hits[0]), Game(add_form(rest, target)))
 
 
 def _spiral_row(g: Game) -> Row | None:
@@ -214,13 +214,6 @@ def _rule_row(g: Game) -> Row:
                 p = min(fits, key=lambda q: (len(q), q))
                 return rule_id, p, (f"{head}{len(p) + shift}",)
     raise StrategyGap(f"no rule matches {g}")
-
-
-def rule_rows_unique(max_stones: int = 30) -> list[str]:
-    """Self-test of the whole table: each row's result is reached from its
-    lone part by exactly one position.  Checks the rows of
-    `table_rows(max_stones)`.  Returns offending rows."""
-    return ambiguous_rows(table_rows(max_stones))
 
 
 def table_rows(max_stones: int = 30) -> list[Row]:

@@ -10,7 +10,7 @@ from linclob.core import (
 from linclob.asf import normalize
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
-    choose_left_move, require_scope, rule_rows_unique, table_rows,
+    choose_left_move, require_scope, table_rows,
 )
 from linclob.taxonomy import enumerate_s_games, in_left_target
 
@@ -191,11 +191,11 @@ def test_improved_override_spiral():
 
 def test_rule_rows_are_unambiguous():
     # whole-game, fixed, lone-K-part and spiral rows
-    assert rule_rows_unique(30) == []
+    assert ambiguous_rows(table_rows(30)) == []
 
 
 def test_row_clobbers_match_a_literal_filter():
-    # every row rule_rows_unique(30) checks: whole-game, fixed, lone-K-part
+    # every row of table_rows(30): whole-game, fixed, lone-K-part
     # and spiral rows
     rows = table_rows(30)
     kinds = {rule_id for rule_id, _, _ in rows}
