@@ -3,11 +3,12 @@
 Left plays by rule, Right tries every move.  A Right node builds each of its
 distinct children once, in standard form from the moved part alone
 (`asf.normalized_children`: one child per distinct form of a part, and none
-for a copy of the part before it), and results are memoized on (normalized
-game, mover), together with the children each node's search explored.  A
-range of starts shares one memo, and each start's node counts are read off
-the children it reaches: a walk over the Left and the Right parts it reaches,
-alternating between the two.
+for a copy of the part before it).  The memo holds one map per mover, keyed
+by the normalized parts alone: a Left entry holds the verdict and its one
+strategy child, a Right entry the verdict and the children its search
+explored.  A range of starts shares one memo, and each start's node counts
+are read off the children it reaches: one walk over the Left parts it
+reaches and the Right child of each.
 """
 
 from __future__ import annotations
@@ -25,12 +26,17 @@ from .taxonomy import (
 )
 
 Parts = tuple[str, ...]
-# (normalized parts, mover) -> (mover wins, children the search explored).
-# A Left entry holds its one strategy child (none when Left cannot move); a
-# Right entry holds its distinct children in move order up to and including
-# the first refutation (none at the LL stop).  The children's mover is the
-# other player.
-Memo = dict[tuple[Parts, str], tuple[bool, tuple[Parts, ...]]]
+
+
+@dataclass
+class Memo:
+    """The search's results, one map per mover keyed by the normalized parts:
+    `left` holds (Left wins, the strategy child or None when Left cannot
+    move), `right` (Left wins, the distinct children in move order through
+    the first refutation, none at the LL stop)."""
+    left: dict[Parts, tuple[bool, Parts | None]] = field(default_factory=dict)
+    right: dict[Parts, tuple[bool, tuple[Parts, ...]]] = field(default_factory=dict)
+
 
 # The search takes one frame per ply and each ply captures a stone: n stones
 # need n frames plus a few dozen, so 500 fits Python's default limit of 1000.
@@ -67,28 +73,24 @@ def verify_game(g: Game, ruleset: Ruleset, memo: Memo) -> bool:
 
 
 def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
-    key = (parts, BLACK)
-    hit = memo.get(key)
+    hit = memo.left.get(parts)
     if hit is not None:
         return hit[0]
-    if not parts:
-        entry = (False, ())  # Left cannot move and loses
-    else:
-        child = choose_left_move(Game(parts), ruleset).result.parts
-        entry = (_right_node(child, ruleset, memo), (child,))
-    memo[key] = entry
-    return entry[0]
+    # Left loses when it cannot move
+    child = choose_left_move(Game(parts), ruleset).result.parts if parts else None
+    won = child is not None and _right_node(child, ruleset, memo)
+    memo.left[parts] = (won, child)
+    return won
 
 
 def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
-    key = (parts, WHITE)
-    hit = memo.get(key)
+    hit = memo.right.get(parts)
     if hit is not None:
         return hit[0]
     if in_LL(Game(parts)):
         # Certified endgames: the oracle establishes each of these is a Left
         # win with either player to move, so the rule-based search stops here.
-        memo[key] = (True, ())
+        memo.right[parts] = (True, ())
         return True
     result = True
     explored: dict[Parts, None] = {}  # distinct children in move order
@@ -99,7 +101,7 @@ def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
         if not _left_node(child, ruleset, memo):
             result = False
             break
-    memo[key] = (result, tuple(explored))
+    memo.right[parts] = (result, tuple(explored))
     return result
 
 
@@ -108,21 +110,17 @@ def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
     the explored children.  A node's explored children depend only on the
     node, so these are the sizes a memo of the root's search alone would
     have."""
-    left, right = {root}, set()
+    left, right = set(), set()
     todo = [root]
     while todo:
-        frontier = []
-        for parts in todo:
-            for child in memo[parts, BLACK][1]:
-                if child not in right:
-                    right.add(child)
-                    frontier.append(child)
-        todo = []
-        for parts in frontier:
-            for child in memo[parts, WHITE][1]:
-                if child not in left:
-                    left.add(child)
-                    todo.append(child)
+        parts = todo.pop()
+        if parts in left:
+            continue
+        left.add(parts)
+        child = memo.left[parts][1]
+        if child is not None and child not in right:
+            right.add(child)
+            todo.extend(memo.right[child][1])
     return len(left), len(right)
 
 
@@ -137,7 +135,7 @@ def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,
         raise ValueError(f"start must be even, >= 4, not 6 and at most "
                          f"{MAX_START_STONES}; got {stones}")
     if memo is None:
-        memo = {}
+        memo = Memo()
     root = normalize(Game.of([alternating(stones, "o")])).parts
     begin = time.perf_counter()
     won = _left_node(root, ruleset, memo)
@@ -149,7 +147,7 @@ def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,
 def verify_range(starts: Iterable[int],
                  ruleset: Ruleset = Ruleset.BASIC) -> list[VerifyStats]:
     """Verify each start in turn against one memo shared by the range."""
-    memo: Memo = {}
+    memo = Memo()
     return [verify_start(stones, ruleset, memo) for stones in starts]
 
 

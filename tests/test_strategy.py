@@ -7,7 +7,7 @@ from linclob.core import (
     BLACK, Game, apply_move, clobbers, expand_shorthand, legal_moves,
     parse_position,
 )
-from linclob.asf import normalize
+from linclob.asf import normalize, normalize_trace
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
     choose_left_move, require_scope, table_rows,
@@ -17,6 +17,12 @@ from linclob.taxonomy import enumerate_s_games, in_left_target
 
 def norm(text: str) -> Game:
     return normalize(parse_position(text))
+
+
+def literal(g: Game) -> Game:
+    """The standard form by the literal rewriter, the reference for the
+    table's fast paths, which read `normalize`."""
+    return normalize_trace(g)[0]
 
 
 def pick(text: str, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
@@ -201,10 +207,10 @@ def test_row_clobbers_match_a_literal_filter():
     kinds = {rule_id for rule_id, _, _ in rows}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
     for rule_id, part, tokens in rows:
-        target = normalize(Game.of(expand_shorthand(t) for t in tokens)).parts
+        target = literal(Game.of(expand_shorthand(t) for t in tokens)).parts
         hits = tuple(c for c, pieces in clobbers(part).items()
                      if part[c[0] - 1] == BLACK
-                     and normalize(Game(pieces)).parts == target)
+                     and literal(Game(pieces)).parts == target)
         assert strategy._row_clobbers(part, tuple(tokens)) == (hits, target), \
             (rule_id, part, tokens)
 
@@ -212,13 +218,13 @@ def test_row_clobbers_match_a_literal_filter():
 def _whole_game_search(g: Game, rule_id: str, part: str,
                        tokens: tuple[str, ...]) -> StrategyMove | None:
     """The literal realization of a row: the first Left move on `part` whose
-    normalized whole result equals normalize(g - part + tokens)."""
+    literally normalized whole result equals that of g - part + tokens."""
     rest = list(g.parts)
     rest.remove(part)
-    expected = normalize(Game.of(rest + [expand_shorthand(t) for t in tokens]))
+    expected = literal(Game.of(rest + [expand_shorthand(t) for t in tokens]))
     for m in legal_moves(g, BLACK):
         if g.parts[m.part_index] == part:
-            result = normalize(apply_move(g, m))
+            result = literal(apply_move(g, m))
             if result == expected:
                 return StrategyMove(rule_id, m, result)
     return None
@@ -231,7 +237,7 @@ def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
     if in_left_target(chosen.result):
         return chosen
     for m in legal_moves(g, BLACK):
-        result = normalize(apply_move(g, m))
+        result = literal(apply_move(g, m))
         if in_left_target(result):
             return StrategyMove(chosen.rule_id + "-fallback", m, result)
     return chosen

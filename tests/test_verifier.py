@@ -10,7 +10,7 @@ from linclob.strategy import NotInScope, Ruleset
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_game, verify_range, verify_start,
+    Memo, check_u_closure, verify_game, verify_range, verify_start,
 )
 
 
@@ -29,7 +29,7 @@ def test_verify_start_rejects_bad_starts():
 
 
 def test_verify_game_on_s_games():
-    memo = {}
+    memo = Memo()
     assert verify_game(parse_position("a4"), Ruleset.BASIC, memo)
     assert verify_game(parse_position("xxo"), Ruleset.BASIC, memo)
     assert verify_game(parse_position("o5"), Ruleset.BASIC, memo)
@@ -38,7 +38,7 @@ def test_verify_game_on_s_games():
 def test_verify_game_refuses_games_outside_s0():
     # rule 1d moves on a8, but a8 + x5 is no S game
     with pytest.raises(NotInScope):
-        verify_game(parse_position("a8 + x5"), Ruleset.BASIC, {})
+        verify_game(parse_position("a8 + x5"), Ruleset.BASIC, Memo())
 
 
 def test_memo_determinism():
@@ -58,6 +58,16 @@ def test_shared_memo_counts_match_separate_runs(ruleset):
     want = counts(alone.values())
     assert counts(verify_range(starts, ruleset)) == want
     assert counts(verify_range(starts[::-1], ruleset)) == want
+
+
+@pytest.mark.parametrize("ruleset, sizes", [(Ruleset.BASIC, (2283, 633)),
+                                            (Ruleset.IMPROVED, (2169, 610))])
+def test_shared_memo_holds_each_node_once(ruleset, sizes):
+    # the numbers of distinct Left and Right nodes of a shared-memo 8..40
+    memo = Memo()
+    for stones in range(8, 41, 2):
+        verify_start(stones, ruleset, memo)
+    assert (len(memo.left), len(memo.right)) == sizes
 
 
 _EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
