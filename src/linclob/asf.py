@@ -18,10 +18,11 @@ no two parts cancel, so after a move on one part the child's standard form
 is `add_form` of the other parts and the standard form of the move's pieces.
 `normalized_successors` builds every child that way, from each part's cached
 table of clobbers and their pieces' standard forms (`part_successors`).
-`normalized_children` yields only the distinct children a search needs: one
-per distinct form of each part, and nothing for a copy of the part before
-it, which has the same children.  The oracle uses neither: it stays on raw
-moves, so that it remains independent of the rewriter.
+`normalized_children` yields each child a search needs once: one per
+distinct form of each part (no two parts share a child), and nothing for a
+copy of the part before it, which has the same children.  The oracle uses
+neither: it stays on raw moves, so that it remains independent of the
+rewriter.
 """
 
 from __future__ import annotations
@@ -170,11 +171,12 @@ def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
 
 def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
     """The children of `normalized_successors(Game(parts), player)` with no
-    `Move`, each distinct child first met on a part yielded once, in
-    first-occurrence order.  A copy of the part before it is skipped: the
-    parts are sorted, so copies are adjacent, and a copy has the same
-    children.  Distinct forms of one part give distinct children, but two
-    parts may still give the same child."""
+    `Move`, each distinct child once, in first-occurrence order.  A copy of
+    the part before it is skipped: the parts are sorted, so copies are
+    adjacent, and a copy has the same children.  Distinct forms of one part
+    give distinct children, and so do distinct parts p and q: a move on p
+    leaves one copy of p fewer, as its form holds only smaller parts, and a
+    move on q changes the copies of p only if p is smaller than q."""
     prev = None
     for i, part in enumerate(parts):
         if part == prev:

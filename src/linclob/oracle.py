@@ -98,18 +98,19 @@ def _moves(part: str) -> tuple[tuple[tuple[str, ...], int], ...]:
 
 def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     """The negatives of the distinct positions Left reaches in one move, in
-    move order, each with its stone count."""
+    move order, each with its stone count.  No two parts reach one position:
+    a move on p leaves one copy of p fewer, one on another part no fewer."""
     stones = sum(map(len, parts))
     negated = _negative(parts)
-    children: dict[tuple[str, ...], int] = {}
+    children = []
     for i, part in enumerate(parts):
         if i and part == parts[i - 1]:
             continue  # a copy of a part reaches the same positions again
         j = negated.index(negative(part))
         rest = negated[:j] + negated[j + 1:]
         for pieces, delta in _moves(part):
-            children[tuple(sorted(rest + pieces))] = stones + delta
-    return list(zip(children.values(), children))
+            children.append((stones + delta, tuple(sorted(rest + pieces))))
+    return children
 
 
 def outcome(g: Game, cache: SolveCache) -> OutcomeClass:

@@ -1,14 +1,14 @@
 """Exhaustive adversarial verification and bounded theorem checks.
 
 Left plays by rule, Right tries every move.  A Right node builds each of its
-distinct children once, in standard form from the moved part alone
-(`asf.normalized_children`: one child per distinct form of a part, and none
-for a copy of the part before it).  The memo holds one map per mover, keyed
-by the normalized parts alone: a Left entry holds the verdict and its one
-strategy child, a Right entry the verdict and the children its search
-explored.  A range of starts shares one memo, and each start's node counts
-are read off the children it reaches: one walk over the Left parts it
-reaches and the Right child of each.
+children once, in standard form from the moved part alone
+(`asf.normalized_children`, which never repeats a child).  The memo is the
+proof graph, keyed by the normalized parts: each Left node maps to its
+strategy child, each Right node to the children its search explored, and one
+set holds the Right nodes where Right wins; every verdict is read off that
+set.  A range of starts shares one memo, and each start's node counts are
+read off the children it reaches: one walk over the Left parts it reaches
+and the Right child of each.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ Parts = tuple[str, ...]
 
 @dataclass
 class Memo:
-    """The search's results, one map per mover keyed by the normalized parts:
-    `left` holds (Left wins, the strategy child or None when Left cannot
-    move), `right` (Left wins, the distinct children in move order through
-    the first refutation, none at the LL stop)."""
-    left: dict[Parts, tuple[bool, Parts | None]] = field(default_factory=dict)
-    right: dict[Parts, tuple[bool, tuple[Parts, ...]]] = field(default_factory=dict)
+    """The search's proof graph, keyed by the normalized parts: `left` maps a
+    Left node to the strategy's child, `right` a Right node to the children
+    its search explored, in move order through the first refutation (none at
+    the LL stop), and `refuted` holds the Right nodes where Right wins.  A
+    Left node wins iff its child is not refuted; the empty game, where Left
+    cannot move and loses, gets no entry."""
+    left: dict[Parts, Parts] = field(default_factory=dict)
+    right: dict[Parts, tuple[Parts, ...]] = field(default_factory=dict)
+    refuted: set[Parts] = field(default_factory=set)
 
 
 # The search takes one frame per ply and each ply captures a stone: n stones
@@ -73,36 +76,30 @@ def verify_game(g: Game, ruleset: Ruleset, memo: Memo) -> bool:
 
 
 def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
-    hit = memo.left.get(parts)
-    if hit is not None:
-        return hit[0]
-    # Left loses when it cannot move
-    child = choose_left_move(Game(parts), ruleset).result.parts if parts else None
-    won = child is not None and _right_node(child, ruleset, memo)
-    memo.left[parts] = (won, child)
-    return won
+    if not parts:
+        return False  # Left cannot move
+    child = memo.left.get(parts)
+    if child is None:
+        # every move removes a stone, so no hit finds an unfinished entry
+        child = choose_left_move(Game(parts), ruleset).result.parts
+        _right_node(child, ruleset, memo)
+        memo.left[parts] = child
+    return child not in memo.refuted
 
 
-def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
-    hit = memo.right.get(parts)
-    if hit is not None:
-        return hit[0]
-    if in_LL(Game(parts)):
-        # Certified endgames: the oracle establishes each of these is a Left
-        # win with either player to move, so the rule-based search stops here.
-        memo.right[parts] = (True, ())
-        return True
-    result = True
-    explored: dict[Parts, None] = {}  # distinct children in move order
-    for child in normalized_children(parts, WHITE):
-        if child in explored:
-            continue
-        explored[child] = None
-        if not _left_node(child, ruleset, memo):
-            result = False
-            break
-    memo.right[parts] = (result, tuple(explored))
-    return result
+def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> None:
+    if parts in memo.right:
+        return
+    explored = []
+    # Certified endgames: the oracle establishes each of these is a Left win
+    # with either player to move, so the rule-based search stops here.
+    if not in_LL(Game(parts)):
+        for child in normalized_children(parts, WHITE):
+            explored.append(child)
+            if not _left_node(child, ruleset, memo):
+                memo.refuted.add(parts)
+                break
+    memo.right[parts] = tuple(explored)
 
 
 def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
@@ -117,10 +114,10 @@ def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
         if parts in left:
             continue
         left.add(parts)
-        child = memo.left[parts][1]
+        child = memo.left.get(parts)  # None for the empty game
         if child is not None and child not in right:
             right.add(child)
-            todo.extend(memo.right[child][1])
+            todo.extend(memo.right[child])
     return len(left), len(right)
 
 
@@ -198,9 +195,8 @@ def check_conjecture(max_stones: int = DEFAULT_MAX_STONES) -> TheoremReport:
 _BETA_SAMPLES = ("ox", "oxox", "xxo", "oxoxo", "ooxoxo")
 
 
-def check_asf_soundness(cache: SolveCache | None = None) -> TheoremReport:
+def check_asf_soundness(cache: SolveCache) -> TheoremReport:
     """Every rewrite rule's left side is oracle-equivalent to its right side."""
-    cache = cache or SolveCache()
     report = TheoremReport("AsfSoundness", 0)
     for rule in rule_table():
         if rule.lhs is None:

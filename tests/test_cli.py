@@ -10,6 +10,7 @@ import pytest
 from linclob import cli, strategy, verifier
 from linclob.cli import run
 from linclob.core import BudgetExceeded, EmptyPosition, ParseError
+from linclob.oracle import SolveCache
 from linclob.strategy import NotInScope, StrategyGap
 from linclob.verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
@@ -262,7 +263,8 @@ def test_check_rejects_bounds_below_one(capsys):
     ("conjecture", check_conjecture),
 ])
 def test_check_defaults_are_the_library_defaults(capsys, suite, check):
-    report = check()
+    # the asf check takes its solver cache, whose defaults are the library's
+    report = check(SolveCache()) if check is check_asf_soundness else check()
     run(["check", suite])
     assert capsys.readouterr().out.splitlines()[0] == (
         f"theorem={report.theorem} instances={report.instances_checked} "

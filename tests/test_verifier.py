@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from linclob import cli, strategy, verifier
 from linclob.core import BLACK, Game, alternating, parse_position
-from linclob.asf import normalize
+from linclob.asf import normalize, normalized_successors
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
-from linclob.strategy import NotInScope, Ruleset
+from linclob.strategy import NotInScope, Ruleset, StrategyMove
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
@@ -70,6 +71,31 @@ def test_shared_memo_holds_each_node_once(ruleset, sizes):
     assert (len(memo.left), len(memo.right)) == sizes
 
 
+def test_verify_rejects_a_wrong_left_move(monkeypatch):
+    # Left answers a lone a4 with a2, not rule 5i's xxo: Right then moves to 0
+    choose = verifier.choose_left_move
+    a4 = Game(("oxox",))
+    to_a2 = next(m for m, child in normalized_successors(a4, BLACK)
+                 if child == ("ox",))
+
+    def wrong(g, ruleset):
+        if g == a4:
+            return StrategyMove("wrong", to_a2, Game(("ox",)))
+        return choose(g, ruleset)
+    monkeypatch.setattr(verifier, "choose_left_move", wrong)
+    memo = Memo()
+    stats = [verify_start(stones, Ruleset.BASIC, memo) for stones in range(8, 15, 2)]
+    assert {st.n: (st.left_wins, st.left_nodes, st.right_nodes) for st in stats} == {
+        4: (True, 3, 3), 5: (False, 5, 4), 6: (True, 1, 1), 7: (False, 11, 8)}
+    assert memo.refuted
+    assert cli.run(["verify", "--from", "8", "--to", "14"]) == 1
+    monkeypatch.undo()
+    memo = Memo()
+    assert all(verify_start(stones, Ruleset.BASIC, memo).left_wins
+               for stones in range(8, 15, 2))
+    assert not memo.refuted
+
+
 _EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
 
 # (left_nodes, right_nodes) of each start a(2n) of improved 8..40, by n.
@@ -125,6 +151,14 @@ def test_theorem_right_small():
 def test_theorem_left_small():
     report = check_theorem_left(14, 2)
     assert report.ok and report.instances_checked > 0
+
+
+def test_theorem_left_reports_a_strategy_gap(monkeypatch):
+    # a table without row 7b has no move on a lone xxo
+    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "7b")
+    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+    report = check_theorem_left(14, 2)
+    assert (Game(("oxx",)), None, "no rule matches oxx") in report.failures
 
 
 def test_theorem_left_full_bound_has_single_known_gap():
