@@ -4,14 +4,16 @@ Each rule states a row `(rule id, part, tokens)`: Left moves on `part` and
 leaves pieces whose standard form is that of the shorthand `tokens`.  The
 table is data, stated once: `_WHOLE_GAME_ROWS` holds the rows stated for one
 whole game, looked up first, and `_RULE_ROWS` lists every other rule in
-precedence order, so the first row that applies fixes the move.
+precedence order, so the first row that applies fixes the move; the rows
+that can fire on each part are derived from it once (`_part_rows`).
 Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
 lone part, from the part's table of Left clobbers and their pieces' standard
 forms (`asf.part_successors`), which is exact for the whole game:
 `normalize` merges part forms and cancels p against -p, and the rest of a
-standard-form game is its own form.  So Left's result is the row's target
-form added to the rest of the game (`asf.add_form`).  `ambiguous_rows`
-checks that lookup on every row of `table_rows`.
+standard-form game is its own form.  So Left's child is the row's target
+form added to the rest of the game (`asf.add_form`); the search reads only
+it and the rule id (`left_child`).  `ambiguous_rows` checks that lookup on
+every row of `table_rows`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Iterable
 
 from .core import (
     BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
-    part_token,
+    negative, part_token,
 )
-from .asf import add_form, normalize, normalized_successors, part_successors
+from .asf import Parts, add_form, normalize, normalized_children, part_successors
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -36,7 +38,7 @@ class NotInScope(ValueError):
 
 def require_scope(g: Game) -> None:
     """Raise NotInScope unless g is an S0 game.  The entry points check once
-    here; `choose_left_move` does not, so no search node pays for it."""
+    here; `left_child` does not, so no search node pays for it."""
     if not in_S0(g):
         raise NotInScope(f"{format_game(g, 'short')} is outside the strategy's scope")
 
@@ -83,25 +85,13 @@ def _row_clobbers(part: str, tokens: tuple[str, ...]
     return hits, target
 
 
-def _realize(g: Game, rule_id: str, part: str,
-             tokens: tuple[str, ...]) -> StrategyMove:
-    """The row's first clobber, played on the first copy of `part` in g."""
-    hits, target = _row_clobbers(part, tokens)
-    if not hits:
-        raise StrategyGap(f"rule {rule_id}: no Left move on {part} reaches "
-                          f"{' + '.join(tokens) or '0'}")
-    i = g.parts.index(part)
-    rest = g.parts[:i] + g.parts[i + 1:]
-    return StrategyMove(rule_id, Move(i, *hits[0]), Game(add_form(rest, target)))
-
-
-def _spiral_row(g: Game) -> Row | None:
+def _spiral_row(parts: Parts) -> Row | None:
     """The improved ruleset's row on a(2j) + oo(2k): a(2j) -> o(m) + xx(2k)
     with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves o(m) alone."""
-    if len(g.parts) != 2:
+    if len(parts) != 2:
         return None
-    a = next((p for p in g.parts if in_shape(p, "A")), None)
-    oo = next((p for p in g.parts if in_shape(p, "oO")), None)
+    a = next((p for p in parts if in_shape(p, "A")), None)
+    oo = next((p for p in parts if in_shape(p, "oO")), None)
     if a is None or oo is None:
         return None
     j, k = len(a) // 2, len(oo) // 2
@@ -113,27 +103,41 @@ def _spiral_row(g: Game) -> Row | None:
     return "spiral", a, (f"o{m}", f"xx{2 * k}")
 
 
-def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
-    """The move mandated by the first applicable rule (order 1a..7b).
-
-    `g` must be in standard form (`asf.normalize`); the returned move's
-    `part_index` indexes `g.parts`.  If the mandated result falls outside
-    S1 ∪ S2 ∪ LL ∪ {0} but some Left move does land there, that move is
-    taken instead (rule id suffixed with "-fallback").  When no in-target
-    move exists the mandated move stands; the bounded theorem checks surface
-    such games.  A game that no row matches raises StrategyGap.
-    """
-    if not g.parts:
+def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC) -> tuple[str, Parts]:
+    """The first applicable rule's id (order 1a..7b) and the standard form of
+    its child of the standard-form `parts`.  If that child is outside
+    S1 ∪ S2 ∪ LL ∪ {0} but some Left move's child is inside, the first such
+    child is taken instead (rule id suffixed with "-fallback"); with none, the
+    mandated child stands.  A game that no row matches raises StrategyGap."""
+    if not parts:
         raise NotInScope("no moves on the empty game")
-    row = _spiral_row(g) if ruleset is Ruleset.IMPROVED else None
-    chosen = _realize(g, *(row or _rule_row(g)))
-    if in_left_target(chosen.result):
-        return chosen
-    for m, child in normalized_successors(g, BLACK):
-        result = Game(child)
-        if in_left_target(result):
-            return StrategyMove(chosen.rule_id + "-fallback", m, result)
-    return chosen
+    row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
+    rule_id, part, tokens = row or _rule_row(parts)
+    hits, target = _row_clobbers(part, tokens)
+    if not hits:
+        raise StrategyGap(f"rule {rule_id}: no Left move on {part} reaches "
+                          f"{' + '.join(tokens) or '0'}")
+    i = parts.index(part)
+    child = add_form(parts[:i] + parts[i + 1:], target)
+    if in_left_target(Game(child)):
+        return rule_id, child
+    for other in normalized_children(parts, BLACK):
+        if in_left_target(Game(other)):
+            return rule_id + "-fallback", other
+    return rule_id, child
+
+
+def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
+    """`left_child` on g with the first Left move, in `legal_moves` order, that
+    reaches the child.  Its part is the longest with fewer copies in the child:
+    the pieces' form adds or cancels only shorter parts, and no move on another
+    part reaches the same child (`asf.normalized_children`)."""
+    rule_id, child = left_child(g.parts, ruleset)
+    part = max((p for p in g.parts if child.count(p) < g.parts.count(p)), key=len)
+    i = g.parts.index(part)
+    form = add_form(child, map(negative, g.parts[:i] + g.parts[i + 1:]))
+    f, t = next((f, t) for f, t, other in part_successors(part, BLACK) if other == form)
+    return StrategyMove(rule_id, Move(i, f, t), Game(child))
 
 
 # Rows stated for one whole game; they take precedence over the rule order.
@@ -196,24 +200,42 @@ _RULE_ROWS = tuple(
     ))
 
 
-def _rule_row(g: Game) -> Row:
-    """The row of the first applicable rule (order 1a..7b)."""
-    row = _WHOLE_GAME_ROWS.get(g.parts)
-    if row is not None:
-        return row
-    have = Counter(g.parts)
-    for row in _RULE_ROWS:
+@lru_cache(maxsize=None)
+def _part_rows(part: str) -> tuple[tuple[tuple[int, int, str], Row, tuple], ...]:
+    """The rows of `_RULE_ROWS` that can fire on `part`, in order, as (key,
+    row, needs): a fixed row on its part, a class row on a part of its class
+    with `least` stones or more.  The key is (row index, length, part)."""
+    rows = []
+    for i, row in enumerate(_RULE_ROWS):
         if len(row) == 4:
-            rule_id, needs, part, tokens = row
-            if part in have and all(have[p] >= n for p, n in needs):
-                return rule_id, part, tokens
+            rule_id, needs, on, tokens = row
+            if on == part:  # one copy of `part` is then present
+                needs = tuple(need for need in needs if need != (part, 1))
+                rows.append(((i, len(part), part), (rule_id, part, tokens), needs))
         else:
             rule_id, flag, least, head, shift = row
-            fits = [p for p in have if len(p) >= least and flag in classify_part(p)]
-            if fits:
-                p = min(fits, key=lambda q: (len(q), q))
-                return rule_id, p, (f"{head}{len(p) + shift}",)
-    raise StrategyGap(f"no rule matches {g}")
+            if len(part) >= least and flag in classify_part(part):
+                tokens = (f"{head}{len(part) + shift}",)
+                rows.append(((i, len(part), part), (rule_id, part, tokens), ()))
+    return tuple(rows)
+
+
+def _rule_row(parts: Parts) -> Row:
+    """The row of the first applicable rule (order 1a..7b): a whole-game row,
+    else of each part's first row whose copy needs hold, the one of least key."""
+    row = _WHOLE_GAME_ROWS.get(parts)
+    if row is not None:
+        return row
+    best = None
+    for p in parts:
+        for key, row, needs in _part_rows(p):
+            if not needs or all(parts.count(q) >= n for q, n in needs):
+                if best is None or key < best[0]:
+                    best = key, row
+                break
+    if best is None:
+        raise StrategyGap(f"no rule matches {Game(parts)}")
+    return best[1]
 
 
 def table_rows(max_stones: int = 30) -> list[Row]:
@@ -221,10 +243,10 @@ def table_rows(max_stones: int = 30) -> list[Row]:
     the spiral rows on a-parts of at most `max_stones` stones."""
     cases = list(_WHOLE_GAME_ROWS.values())
     cases += [(r[0], r[2], r[3]) for r in _RULE_ROWS if len(r) == 4]
-    cases += [_rule_row(Game((p,))) for p in k_parts(max_stones)]
+    cases += [_rule_row((p,)) for p in k_parts(max_stones)]
     for a in range(4, max_stones + 1, 2):
         for oo in range(4, a, 2):
-            row = _spiral_row(_game(f"a{a}", f"oo{oo}"))
+            row = _spiral_row(_game(f"a{a}", f"oo{oo}").parts)
             if row is not None:
                 cases.append(row)
     return cases

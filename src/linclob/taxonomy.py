@@ -84,6 +84,7 @@ def u_parts(max_stones: int) -> list[str]:
 _SLOT_FLAGS = ("Oprime", "oOprime", "oOoprime", "I", "XXO", "OO8", "Aprime", "oAprime")
 
 
+@lru_cache(maxsize=None)
 def part_slot(part: str) -> int | None:
     """Index of the part's count-vector class, or None."""
     flags = classify_part(part)

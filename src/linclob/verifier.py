@@ -20,7 +20,7 @@ from typing import Iterable
 from .core import BLACK, WHITE, Game, alternating, canonical, clobbers, flip
 from .asf import normalize, normalized_children, normalized_successors, rule_table
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
-from .strategy import Ruleset, StrategyGap, choose_left_move, require_scope
+from .strategy import Ruleset, StrategyGap, choose_left_move, left_child, require_scope
 from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
@@ -81,7 +81,7 @@ def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
     child = memo.left.get(parts)
     if child is None:
         # every move removes a stone, so no hit finds an unfinished entry
-        child = choose_left_move(Game(parts), ruleset).result.parts
+        child = left_child(parts, ruleset)[1]
         _right_node(child, ruleset, memo)
         memo.left[parts] = child
     return child not in memo.refuted

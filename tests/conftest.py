@@ -1,3 +1,8 @@
+import pytest
+
+from linclob import strategy
+from linclob.core import Game
+
 _acceptance_lines: list[str] = []
 
 
@@ -12,3 +17,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def drop_rule_row():
+    """Left's rule table without one row: `drop_rule_row("1d")` removes row
+    1d, and `drop_rule_row(None)` removes none.  The rows that can fire on a
+    part are cached from the table, so the cache is cleared at setup, at each
+    change and at teardown, which restores the table and checks that a8
+    picks 1d again."""
+    table = strategy._RULE_ROWS
+
+    def use(rows):
+        strategy._RULE_ROWS = rows
+        strategy._part_rows.cache_clear()
+    use(table)
+    yield lambda rule_id: use(tuple(row for row in table if row[0] != rule_id))
+    use(table)
+    assert strategy.choose_left_move(Game(("oxoxoxox",))).rule_id == "1d"

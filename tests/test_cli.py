@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from linclob import cli, strategy, verifier
+from linclob import cli, verifier
 from linclob.cli import run
 from linclob.core import BudgetExceeded, EmptyPosition, ParseError
 from linclob.oracle import SolveCache
@@ -126,34 +126,31 @@ def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
     assert captured.err.startswith("error: no rule matches")
 
 
-def test_verify_reports_a_strategy_gap(capsys, monkeypatch):
+def test_verify_reports_a_strategy_gap(capsys, drop_rule_row):
     # a table without row 1d has no move on a8
-    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
-    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+    drop_rule_row("1d")
     assert run(["verify", "--from", "8", "--to", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: no rule matches oxoxoxox"]
 
 
-def test_verify_gap_keeps_an_earlier_csv(capsys, monkeypatch, tmp_path):
-    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
-    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+def test_verify_gap_keeps_an_earlier_csv(capsys, drop_rule_row, tmp_path):
+    drop_rule_row("1d")
     path = tmp_path / "gap.csv"
     path.write_text("sentinel\n")
     assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 1
     assert path.read_text() == "sentinel\n"
     # a run that ends replaces the earlier CSV, it does not append to it
-    monkeypatch.undo()
+    drop_rule_row(None)
     assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "n,runtime_seconds,left_nodes,right_nodes"
     assert len(lines) == 3
 
 
-def test_verify_gap_leaves_no_csv_on_a_new_path(monkeypatch, tmp_path):
-    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "1d")
-    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+def test_verify_gap_leaves_no_csv_on_a_new_path(drop_rule_row, tmp_path):
+    drop_rule_row("1d")
     path = tmp_path / "new.csv"
     assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 1
     assert not path.exists()

@@ -12,7 +12,8 @@ from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
     choose_left_move, require_scope, table_rows,
 )
-from linclob.taxonomy import enumerate_s_games, in_left_target
+from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target
+from linclob.verifier import Memo, verify_start
 
 
 def norm(text: str) -> Game:
@@ -230,9 +231,45 @@ def _whole_game_search(g: Game, rule_id: str, part: str,
     return None
 
 
+def literal_rule_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
+    """The row of the first applicable rule by the literal scan: the
+    whole-game rows, then every row of `_RULE_ROWS` in order; the reference
+    for the per-part lookup of `strategy._rule_row`."""
+    row = strategy._WHOLE_GAME_ROWS.get(g.parts)
+    if row is not None:
+        return row
+    have = Counter(g.parts)
+    for row in strategy._RULE_ROWS:
+        if len(row) == 4:
+            rule_id, needs, part, tokens = row
+            if part in have and all(have[p] >= n for p, n in needs):
+                return rule_id, part, tokens
+        else:
+            rule_id, flag, least, head, shift = row
+            fits = [p for p in have if len(p) >= least and flag in classify_part(p)]
+            if fits:
+                p = min(fits, key=lambda q: (len(q), q))
+                return rule_id, p, (f"{head}{len(p) + shift}",)
+    raise StrategyGap(f"no rule matches {g}")
+
+
+def test_row_lookup_matches_the_literal_scan():
+    games = list(enumerate_s_games(30, 4))
+    assert len(games) == 3353
+    # every Left node of a shared-memo 8..50 run, in both rulesets
+    for ruleset, keys in ((Ruleset.BASIC, 10905), (Ruleset.IMPROVED, 10602)):
+        memo = Memo()
+        for stones in range(8, 51, 2):
+            verify_start(stones, ruleset, memo)
+        assert len(memo.left) == keys
+        games += map(Game, memo.left)
+    for g in games:
+        assert strategy._rule_row(g.parts) == literal_rule_row(g), g
+
+
 def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
-    spiral = strategy._spiral_row(g) if ruleset is Ruleset.IMPROVED else None
-    chosen = _whole_game_search(g, *(spiral or strategy._rule_row(g)))
+    spiral = strategy._spiral_row(g.parts) if ruleset is Ruleset.IMPROVED else None
+    chosen = _whole_game_search(g, *(spiral or literal_rule_row(g)))
     assert chosen is not None, g
     if in_left_target(chosen.result):
         return chosen

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from linclob import cli, strategy, verifier
+from linclob import cli, verifier
 from linclob.core import BLACK, Game, alternating, parse_position
-from linclob.asf import normalize, normalized_successors
+from linclob.asf import normalize
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
-from linclob.strategy import NotInScope, Ruleset, StrategyMove
+from linclob.strategy import NotInScope, Ruleset
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
@@ -73,16 +73,13 @@ def test_shared_memo_holds_each_node_once(ruleset, sizes):
 
 def test_verify_rejects_a_wrong_left_move(monkeypatch):
     # Left answers a lone a4 with a2, not rule 5i's xxo: Right then moves to 0
-    choose = verifier.choose_left_move
-    a4 = Game(("oxox",))
-    to_a2 = next(m for m, child in normalized_successors(a4, BLACK)
-                 if child == ("ox",))
+    left_child = verifier.left_child
 
-    def wrong(g, ruleset):
-        if g == a4:
-            return StrategyMove("wrong", to_a2, Game(("ox",)))
-        return choose(g, ruleset)
-    monkeypatch.setattr(verifier, "choose_left_move", wrong)
+    def wrong(parts, ruleset):
+        if parts == ("oxox",):
+            return "wrong", ("ox",)
+        return left_child(parts, ruleset)
+    monkeypatch.setattr(verifier, "left_child", wrong)
     memo = Memo()
     stats = [verify_start(stones, Ruleset.BASIC, memo) for stones in range(8, 15, 2)]
     assert {st.n: (st.left_wins, st.left_nodes, st.right_nodes) for st in stats} == {
@@ -153,10 +150,9 @@ def test_theorem_left_small():
     assert report.ok and report.instances_checked > 0
 
 
-def test_theorem_left_reports_a_strategy_gap(monkeypatch):
+def test_theorem_left_reports_a_strategy_gap(drop_rule_row):
     # a table without row 7b has no move on a lone xxo
-    rows = tuple(row for row in strategy._RULE_ROWS if row[0] != "7b")
-    monkeypatch.setattr(strategy, "_RULE_ROWS", rows)
+    drop_rule_row("7b")
     report = check_theorem_left(14, 2)
     assert (Game(("oxx",)), None, "no rule matches oxx") in report.failures
 
