@@ -16,13 +16,13 @@ built that way never holds both p and -p, so a self-negative part keeps its
 multiplicity mod 2.  In a standard-form game every part is its own form and
 no two parts cancel, so after a move on one part the child's standard form
 is `add_form` of the other parts and the standard form of the move's pieces.
-`normalized_successors` builds every child that way, from each part's cached
-table of clobbers and their pieces' standard forms (`part_successors`).
-`normalized_children` yields each child a search needs once: one per
-distinct form of each part (no two parts share a child), and nothing for a
-copy of the part before it, which has the same children.  The oracle uses
-neither: it stays on raw moves, so that it remains independent of the
-rewriter.
+Each part has one cached move table per player (`part_successors`): each
+distinct standard form of the pieces its clobbers leave, mapped to those
+clobbers.  `normalized_children` builds each child a search needs that way,
+once: one per form in each part's table (no two parts share a child), and
+nothing for a copy of the part before it, which has the same children.  The
+oracle uses neither: it stays on raw moves, so that it remains independent
+of the rewriter.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
-from .core import Game, Move, canonical, clobbers, flip, negative
+from .core import Game, canonical, clobbers, flip, negative
 
 Parts = tuple[str, ...]
 
@@ -145,33 +146,22 @@ def add_form(parts: Parts, form: Iterable[str]) -> Parts:
 
 
 @lru_cache(maxsize=None)
-def part_successors(part: str, player: str) -> tuple[tuple[int, int, Parts], ...]:
-    """The player's clobbers (from, to) on the lone part, in scan order, each
-    with the standard form of the pieces it leaves."""
-    return tuple((f, t, normalize(Game(pieces)).parts)
-                 for (f, t), pieces in clobbers(part).items() if part[f - 1] == player)
-
-
-@lru_cache(maxsize=None)
-def _distinct_forms(part: str, player: str) -> tuple[Parts, ...]:
-    """The distinct forms of `part_successors(part, player)`, in first-occurrence
-    order."""
-    return tuple(dict.fromkeys(form for _, _, form in part_successors(part, player)))
-
-
-def normalized_successors(g: Game, player: str) -> Iterator[tuple[Move, Parts]]:
-    """Each move of `player` on the standard-form game g, in `legal_moves`
-    order, with the parts of the child's standard form: the same children as
-    `normalize(apply_move(g, m))`, built from the moved part alone."""
-    for i, part in enumerate(g.parts):
-        rest = g.parts[:i] + g.parts[i + 1:]
-        for f, t, form in part_successors(part, player):
-            yield Move(i, f, t), add_form(rest, form)
+def part_successors(part: str, player: str
+                    ) -> Mapping[Parts, tuple[tuple[int, int], ...]]:
+    """The player's move table on the lone part: each distinct standard form
+    of the pieces a clobber leaves, in first-occurrence scan order, mapped to
+    the clobbers (from, to) that leave it, in scan order."""
+    table: dict[Parts, list[tuple[int, int]]] = {}
+    for (f, t), pieces in clobbers(part).items():
+        if part[f - 1] == player:
+            table.setdefault(normalize(Game(pieces)).parts, []).append((f, t))
+    return MappingProxyType({form: tuple(moves) for form, moves in table.items()})
 
 
 def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
-    """The children of `normalized_successors(Game(parts), player)` with no
-    `Move`, each distinct child once, in first-occurrence order.  A copy of
+    """Each distinct child of the player's moves on the standard-form
+    `parts`, in standard form, once, in `legal_moves` first-occurrence order:
+    the rest of the game plus each form of the moved part's table.  A copy of
     the part before it is skipped: the parts are sorted, so copies are
     adjacent, and a copy has the same children.  Distinct forms of one part
     give distinct children, and so do distinct parts p and q: a move on p
@@ -183,7 +173,7 @@ def normalized_children(parts: Parts, player: str) -> Iterator[Parts]:
             continue
         prev = part
         rest = parts[:i] + parts[i + 1:]
-        for form in _distinct_forms(part, player):
+        for form in part_successors(part, player):
             yield add_form(rest, form)
 
 

@@ -58,7 +58,7 @@ _EXIT_CODES = {
 # solves every start of up to max-stones stones (44: 7.0-8.5 s, 89 MiB).
 _SUITES = {
     "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
-            (("--budget", "max_stones", None),)),
+            (("--budget", "max_stones", MAX_START_STONES),)),
     "theorem-right": (check_theorem_right,
                       (("--max-stones", "max_stones", 40),
                        ("--max-parts", "max_parts", None))),
@@ -97,8 +97,8 @@ def _parser() -> argparse.ArgumentParser:
                                   description="Linear clobber toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
     fmt = {"choices": ["stones", "short"], "default": "short"}
-    budget = {"type": _bound(), "default": DEFAULT_MAX_STONES,
-              "help": _BOUND_HELP["--budget"]}
+    budget = {"type": _bound(MAX_START_STONES), "default": DEFAULT_MAX_STONES,
+              "help": f"{_BOUND_HELP['--budget']} (at most {MAX_START_STONES})"}
     ruleset = {"choices": [r.value for r in Ruleset],
                "default": Ruleset.BASIC.value}
 

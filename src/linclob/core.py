@@ -210,7 +210,12 @@ def expand_shorthand(token: str, max_stones: int | None = None) -> str:
     m = _TOKEN.fullmatch(token)
     if not m:
         raise ParseError(f"unrecognized shorthand token {token!r}")
-    head, k, tail = m.group(1), int(m.group(2)), m.group(3)
+    head, digits, tail = m.groups()
+    try:
+        k = int(digits)
+    except ValueError:  # more digits than int() converts: over any budget
+        raise BudgetExceeded(f"token {token[:12]}... declares a "
+                             f"{len(digits)}-digit stone count") from None
     name, least, reverse = _FORMS.get((head, tail, k % 2), (None, 0, False))
     if name is None or k < least:
         raise ParseError(f"token {token!r}: no shape family writes {k} stones "

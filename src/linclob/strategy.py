@@ -7,8 +7,8 @@ whole game, looked up first, and `_RULE_ROWS` lists every other rule in
 precedence order, so the first row that applies fixes the move; the rows
 that can fire on each part are derived from it once (`_part_rows`).
 Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
-lone part, from the part's table of Left clobbers and their pieces' standard
-forms (`asf.part_successors`), which is exact for the whole game:
+lone part, as the entry of its target form in the part's Left move table
+(`asf.part_successors`), which is exact for the whole game:
 `normalize` merges part forms and cancels p against -p, and the rest of a
 standard-form game is its own form.  So Left's child is the row's target
 form added to the rest of the game (`asf.add_form`); the search reads only
@@ -77,12 +77,10 @@ def _row_clobbers(part: str, tokens: tuple[str, ...]
                   ) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
     """The Left clobbers (from, to) on the lone `part` whose pieces normalize
     to the standard form of `tokens`, in `clobbers(part)` scan order, and the
-    parts of that standard form.  The pieces' forms are read off the part's
+    parts of that standard form: the target's entry in the part's move
     table, `asf.part_successors`."""
     target = normalize(_game(*tokens)).parts
-    hits = tuple((f, t) for f, t, form in part_successors(part, BLACK)
-                 if form == target)
-    return hits, target
+    return part_successors(part, BLACK).get(target, ()), target
 
 
 def _spiral_row(parts: Parts) -> Row | None:
@@ -136,7 +134,7 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     part = max((p for p in g.parts if child.count(p) < g.parts.count(p)), key=len)
     i = g.parts.index(part)
     form = add_form(child, map(negative, g.parts[:i] + g.parts[i + 1:]))
-    f, t = next((f, t) for f, t, other in part_successors(part, BLACK) if other == form)
+    f, t = part_successors(part, BLACK)[form][0]
     return StrategyMove(rule_id, Move(i, f, t), Game(child))
 
 

@@ -8,7 +8,8 @@ strategy child, each Right node to the children its search explored, and one
 set holds the Right nodes where Right wins; every verdict is read off that
 set.  A range of starts shares one memo, and each start's node counts are
 read off the children it reaches: one walk over the Left parts it reaches
-and the Right child of each.
+and the Right child of each.  `check_theorem_right` walks each part's move
+table (`asf.part_successors`) itself, to name every Right move that fails.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import BLACK, WHITE, Game, alternating, canonical, clobbers, flip
-from .asf import normalize, normalized_children, normalized_successors, rule_table
+from .core import BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip
+from .asf import add_form, normalize, normalized_children, part_successors, rule_table
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
 from .strategy import Ruleset, StrategyGap, choose_left_move, left_child, require_scope
 from .taxonomy import (
@@ -41,8 +42,9 @@ class Memo:
     refuted: set[Parts] = field(default_factory=set)
 
 
-# The search takes one frame per ply and each ply captures a stone: n stones
-# need n frames plus a few dozen, so 500 fits Python's default limit of 1000.
+# The search and the oracle take one frame per ply and each ply captures a
+# stone: n stones need n frames plus a few dozen, so 500 fits Python's
+# default limit of 1000.
 MAX_START_STONES = 500
 
 
@@ -149,16 +151,20 @@ def verify_range(starts: Iterable[int],
 
 
 def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:
-    """On S1 and S2 games, every Right move must land (normalized) in S0."""
+    """On S1 and S2 games, every Right move must land (normalized) in S0.
+    A part's children are built and classified once per distinct form; each
+    move is one instance, and each move into a child outside S one failure."""
     report = TheoremReport("RightToS0", 0)
     for g in enumerate_s_games(max_stones, max_parts):
         if s_class(g) not in (SClass.S1, SClass.S2):
             continue
-        for m, child in normalized_successors(g, WHITE):
-            h = Game(child)
-            report.instances_checked += 1
-            if s_class(h) is SClass.NotInS:
-                report.failures.append((g, m, h))
+        for i, part in enumerate(g.parts):
+            rest = g.parts[:i] + g.parts[i + 1:]
+            for form, moves in part_successors(part, WHITE).items():
+                h = Game(add_form(rest, form))
+                report.instances_checked += len(moves)
+                if s_class(h) is SClass.NotInS:
+                    report.failures += [(g, Move(i, f, t), h) for f, t in moves]
     return report
 
 

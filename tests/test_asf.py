@@ -8,7 +8,7 @@ from linclob.core import (
 )
 from linclob.asf import (
     apply_once, normalize, normalize_trace, normalized_children,
-    normalized_successors, potential, rule_table,
+    part_successors, potential, rule_table,
 )
 from linclob.oracle import SolveCache, equivalent
 from linclob.taxonomy import enumerate_s_games, u_parts
@@ -147,21 +147,28 @@ def test_normalize_matches_literal_reference(g):
 
 
 def _successors_match_reference(g: Game) -> None:
-    """normalized_successors gives legal_moves' moves in order, each with
-    the literal rewriter's standard form of the raw child."""
+    """Each part's move table maps the literal rewriter's standard form of
+    each raw child of the lone part, in first-occurrence `legal_moves` order,
+    to the clobbers that reach it, in `legal_moves` order."""
     for player in (BLACK, WHITE):
-        got = list(normalized_successors(g, player))
-        assert [m for m, _ in got] == legal_moves(g, player), (g, player)
-        for m, child in got:
-            assert child == normalize_trace(apply_move(g, m))[0].parts, (g, m)
+        for part in g.parts:
+            lone = Game((part,))
+            table = {}
+            for m in legal_moves(lone, player):
+                form = normalize_trace(apply_move(lone, m))[0].parts
+                table.setdefault(form, []).append((m.from_index, m.to_index))
+            want = [(form, tuple(moves)) for form, moves in table.items()]
+            assert list(part_successors(part, player).items()) == want, (part, player)
 
 
 def _children_match_distinct_successors(g: Game) -> None:
-    """normalized_children gives the distinct children of
-    normalized_successors in first-occurrence order, none of them twice."""
+    """normalized_children gives the distinct literal standard forms of the
+    raw children of g, in first-occurrence `legal_moves` order, none of them
+    twice."""
     for player in (BLACK, WHITE):
         got = list(normalized_children(g.parts, player))
-        want = [child for _, child in normalized_successors(g, player)]
+        want = [normalize_trace(apply_move(g, m))[0].parts
+                for m in legal_moves(g, player)]
         assert got == list(dict.fromkeys(want)), (g, player)
 
 

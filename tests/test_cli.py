@@ -38,6 +38,15 @@ def test_solve_budget_exit_code(capsys):
     assert run(["solve", "a10", "--budget", "4"]) == 3
 
 
+def test_budget_has_the_500_stone_cap(capsys):
+    # the oracle takes one frame per ply, so a larger budget is a usage error
+    for argv in (["solve", "ox"], ["equiv", "ox", "ox"], ["check", "asf"]):
+        assert run([*argv, "--budget", "501"]) == 2, argv
+    assert capsys.readouterr().err.count("over the 500 cap") == 3
+    assert run(["solve", "-".join(["ox"] * 250), "--budget", "500"]) == 0
+    assert capsys.readouterr().out == "P\n"
+
+
 def test_huge_token_is_rejected_before_it_is_built(capsys):
     # a token of 10^9 stones is refused from its digits, not after expansion
     huge = f"a{10 ** 9}"
@@ -60,6 +69,11 @@ def test_huge_token_is_rejected_before_it_is_built(capsys):
             assert time.perf_counter() - begin < 1.0
     assert capsys.readouterr().err.count("is 500") == 8
     assert run(["moves", "ox" * 250, "--player", "L"]) == 0
+    # a count of more digits than int() converts is over any budget too
+    for verb in ("solve", "normalize"):
+        assert run([verb, "a" + "9" * 5000]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_parse_error_exit_code(capsys):

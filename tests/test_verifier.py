@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from linclob import cli, verifier
-from linclob.core import BLACK, Game, alternating, parse_position
+from linclob.core import (
+    BLACK, WHITE, Game, alternating, apply_move, legal_moves, parse_position,
+)
 from linclob.asf import normalize
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
 from linclob.strategy import NotInScope, Ruleset
@@ -143,6 +145,33 @@ def test_improved_matches_basic_verdicts():
 def test_theorem_right_small():
     report = check_theorem_right(14, 2)
     assert report.ok and report.instances_checked > 0
+
+
+def test_theorem_right_counts_each_right_move():
+    # one instance per Right move, not one per distinct child
+    moves = sum(len(legal_moves(g, WHITE)) for g in enumerate_s_games(18, 3)
+                if s_class(g) in (SClass.S1, SClass.S2))
+    assert check_theorem_right(18, 3).instances_checked == moves == 939
+
+
+def test_theorem_right_reports_every_move_into_a_child_outside_s(monkeypatch, capsys):
+    # a planted fault: one S0 child of Right's moves is called NotInS.  Right
+    # reaches it twice from each copy of oxoxo in oxoxo + oxoxo.
+    target = ("ox", "oxoxo")
+    real = verifier.s_class
+    monkeypatch.setattr(verifier, "s_class",
+                        lambda g: SClass.NotInS if g.parts == target else real(g))
+    want = [(g, m, Game(target)) for g in enumerate_s_games(14, 3)
+            if real(g) in (SClass.S1, SClass.S2)
+            for m in legal_moves(g, WHITE)
+            if normalize(apply_move(g, m)).parts == target]
+    assert len(want) == 15
+    twice = [m.part_index for g, m, _ in want if g.parts == ("oxoxo", "oxoxo")]
+    assert twice == [0, 0, 1, 1]
+    assert check_theorem_right(14, 3).failures == want
+    assert cli.run(["check", "theorem-right", "--max-stones", "14",
+                    "--max-parts", "3"]) == 1
+    assert "failures=15" in capsys.readouterr().out
 
 
 def test_theorem_left_small():
