@@ -84,9 +84,9 @@ def rule_table() -> list[RewriteRule]:
 _RULES = rule_table()
 
 
-def potential(g: Game) -> int:
+def potential(parts: Parts) -> int:
     """Termination measure: sum of squared part sizes."""
-    return sum(len(p) ** 2 for p in g.parts)
+    return sum(len(p) ** 2 for p in parts)
 
 
 def _beta_match(parts: tuple[str, ...]) -> Game | None:

@@ -207,23 +207,24 @@ def expand_shorthand(token: str, max_stones: int | None = None) -> str:
     BudgetExceeded before anything is built."""
     if token and set(token) <= {"o", "x"}:
         return token  # literal stone string (covers o, oo, xxo, oox, ...)
+    shown = repr(token if len(token) <= 16 else token[:12] + "...")
     m = _TOKEN.fullmatch(token)
     if not m:
-        raise ParseError(f"unrecognized shorthand token {token!r}")
+        raise ParseError(f"unrecognized shorthand token {shown}")
     head, digits, tail = m.groups()
-    try:
-        k = int(digits)
-    except ValueError:  # more digits than int() converts: over any budget
-        raise BudgetExceeded(f"token {token[:12]}... declares a "
-                             f"{len(digits)}-digit stone count") from None
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 12:  # a terabyte of stones: over any budget or memory
+        raise BudgetExceeded(f"token {shown} declares a "
+                             f"{len(digits)}-digit stone count")
+    k = int(digits)
     name, least, reverse = _FORMS.get((head, tail, k % 2), (None, 0, False))
     if name is None or k < least:
-        raise ParseError(f"token {token!r}: no shape family writes {k} stones "
+        raise ParseError(f"token {shown}: no shape family writes {k} stones "
                          f"as {head}{{}}{tail}")
     # A one-stone part is monochromatic and dropped, so it never counts.
     if max_stones is not None and k > max(max_stones, 1):
         raise BudgetExceeded(
-            f"token {token!r} declares {k} stones; budget left is {max_stones}")
+            f"token {shown} declares {k} stones; budget left is {max_stones}")
     s = shape_string(name, k)
     return s[::-1] if reverse else s
 

@@ -1,25 +1,29 @@
 """Exhaustive adversarial verification and bounded theorem checks.
 
-Left plays by rule, Right tries every move.  A Right node builds each of its
-children once, in standard form from the moved part alone
-(`asf.normalized_children`, which never repeats a child).  The memo is the
-proof graph, keyed by the normalized parts: each Left node maps to its
-strategy child, each Right node to the children its search explored, and one
-set holds the Right nodes where Right wins; every verdict is read off that
-set.  A range of starts shares one memo, and each start's node counts are
-read off the children it reaches: one walk over the Left parts it reaches
-and the Right child of each.  `check_theorem_right` walks each part's move
-table (`asf.part_successors`) itself, to name every Right move that fails.
+Left plays by rule, so checking a start is a one-player reachability
+question for Right: Left wins iff no Left node that Right's replies reach is
+the empty game.  A range of starts is one pass.  Every normalized move
+strictly lowers `asf.potential`, so the pass expands pending nodes from the
+highest potential down: a node's parents all come first, and each node is
+expanded once and then dropped.  Each pending node carries the bitmask of
+the starts that reach it.  A Left node goes to its strategy child; a Right
+node goes to each of its distinct children (`asf.normalized_children`),
+except in LL, the certified endgames, which are leaves.  A start's node
+counts are the expanded nodes whose mask holds its bit.
+`check_theorem_right` walks each part's move table (`asf.part_successors`)
+itself, to name every Right move that fails.
 """
 
 from __future__ import annotations
 
-import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip
-from .asf import add_form, normalize, normalized_children, part_successors, rule_table
+from .asf import (
+    add_form, normalize, normalized_children, part_successors, potential, rule_table,
+)
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
 from .strategy import Ruleset, StrategyGap, choose_left_move, left_child, require_scope
 from .taxonomy import (
@@ -28,23 +32,10 @@ from .taxonomy import (
 
 Parts = tuple[str, ...]
 
-
-@dataclass
-class Memo:
-    """The search's proof graph, keyed by the normalized parts: `left` maps a
-    Left node to the strategy's child, `right` a Right node to the children
-    its search explored, in move order through the first refutation (none at
-    the LL stop), and `refuted` holds the Right nodes where Right wins.  A
-    Left node wins iff its child is not refuted; the empty game, where Left
-    cannot move and loses, gets no entry."""
-    left: dict[Parts, Parts] = field(default_factory=dict)
-    right: dict[Parts, tuple[Parts, ...]] = field(default_factory=dict)
-    refuted: set[Parts] = field(default_factory=set)
-
-
-# The search and the oracle take one frame per ply and each ply captures a
-# stone: n stones need n frames plus a few dozen, so 500 fits Python's
-# default limit of 1000.
+# The cap on a position's stones.  Only the oracle recurses: it takes one
+# frame per ply and each ply captures a stone, so n stones need n frames plus
+# a few dozen, and 500 fits Python's default limit of 1000.  The verifier's
+# pass does not recurse, but its starts keep the same cap.
 MAX_START_STONES = 500
 
 
@@ -52,9 +43,8 @@ MAX_START_STONES = 500
 class VerifyStats:
     n: int                 # start is a(2n)
     left_wins: bool
-    left_nodes: int        # Left-to-move games the start's search reaches
-    right_nodes: int       # Right-to-move games the start's search reaches
-    elapsed: float         # seconds this start added to the memo it was given
+    left_nodes: int        # Left-to-move games reachable from the start
+    right_nodes: int       # Right-to-move games reachable from the start
 
 
 @dataclass
@@ -68,86 +58,87 @@ class TheoremReport:
         return not self.failures
 
 
-def verify_game(g: Game, ruleset: Ruleset, memo: Memo) -> bool:
+def verify_game(g: Game, ruleset: Ruleset) -> bool:
     """True iff Left, to move on normalized g, wins by playing the ruleset
     against every Right reply.  Raises NotInScope if normalized g is not an
     S0 game."""
     g = normalize(g)
     require_scope(g)
-    return _left_node(g.parts, ruleset, memo)
+    return not _search([g.parts], ruleset)[0]
 
 
-def _left_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> bool:
-    if not parts:
-        return False  # Left cannot move
-    child = memo.left.get(parts)
-    if child is None:
-        # every move removes a stone, so no hit finds an unfinished entry
-        child = left_child(parts, ruleset)[1]
-        _right_node(child, ruleset, memo)
-        memo.left[parts] = child
-    return child not in memo.refuted
+def _left_node(parts: Parts, ruleset: Ruleset) -> Parts | None:
+    """Left's step: None at the empty game, where Left cannot move and
+    loses, else the strategy's child."""
+    return left_child(parts, ruleset)[1] if parts else None
 
 
-def _right_node(parts: Parts, ruleset: Ruleset, memo: Memo) -> None:
-    if parts in memo.right:
-        return
-    explored = []
-    # Certified endgames: the oracle establishes each of these is a Left win
-    # with either player to move, so the rule-based search stops here.
-    if not in_LL(Game(parts)):
-        for child in normalized_children(parts, WHITE):
-            explored.append(child)
-            if not _left_node(child, ruleset, memo):
-                memo.refuted.add(parts)
-                break
-    memo.right[parts] = tuple(explored)
+def _search(roots: list[Parts], ruleset: Ruleset) -> tuple[int, Counter, Counter]:
+    """One pass from the Left roots, root i owning bit i: the mask of the
+    roots that reach the empty game with Left to move, and the numbers of
+    expanded Left and Right nodes by the mask of the roots reaching them."""
+    # Per side, Left then Right: pending parts -> mask, and expanded nodes
+    # by mask.  Per potential: each side's pending parts.
+    pending: tuple[dict, dict] = ({}, {})
+    counts = (Counter(), Counter())
+    layers: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
 
+    def reach(side: int, parts: Parts, mask: int) -> None:
+        nodes = pending[side]
+        if parts in nodes:
+            nodes[parts] |= mask
+        else:
+            nodes[parts] = mask
+            layers[potential(parts)][side].append(parts)
 
-def _reached(root: Parts, memo: Memo) -> tuple[int, int]:
-    """The numbers of Left and Right nodes reachable from the Left root over
-    the explored children.  A node's explored children depend only on the
-    node, so these are the sizes a memo of the root's search alone would
-    have."""
-    left, right = set(), set()
-    todo = [root]
-    while todo:
-        parts = todo.pop()
-        if parts in left:
+    def expand(side: int, layer: list) -> Iterator[tuple[Parts, int]]:
+        for parts in layer:
+            mask = pending[side].pop(parts)
+            counts[side][mask] += 1
+            yield parts, mask
+
+    for i, root in enumerate(roots):
+        reach(0, root, 1 << i)
+    lost = 0
+    for level in range(max(layers, default=0), -1, -1):
+        if level not in layers:
             continue
-        left.add(parts)
-        child = memo.left.get(parts)  # None for the empty game
-        if child is not None and child not in right:
-            right.add(child)
-            todo.extend(memo.right[child])
-    return len(left), len(right)
+        left, right = layers.pop(level)
+        for parts, mask in expand(0, left):
+            child = _left_node(parts, ruleset)
+            if child is None:
+                lost |= mask
+            else:
+                reach(1, child, mask)
+        for parts, mask in expand(1, right):
+            # the oracle certifies each LL game a Left win with either
+            # player to move, so the pass stops there
+            if not in_LL(Game(parts)):
+                for child in normalized_children(parts, WHITE):
+                    reach(0, child, mask)
+    return lost, *counts
 
 
-def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC,
-                 memo: Memo | None = None) -> VerifyStats:
-    """Verify the even alternating start with the given stone count.
-
-    `memo` is shared with the other starts of a range (`verify_range`); a
-    fresh one is used when none is given.  The node counts are the start's
-    own either way, and `elapsed` is the time it added to the memo."""
-    if stones < 4 or stones % 2 or stones == 6 or stones > MAX_START_STONES:
-        raise ValueError(f"start must be even, >= 4, not 6 and at most "
-                         f"{MAX_START_STONES}; got {stones}")
-    if memo is None:
-        memo = Memo()
-    root = normalize(Game.of([alternating(stones, "o")])).parts
-    begin = time.perf_counter()
-    won = _left_node(root, ruleset, memo)
-    left, right = _reached(root, memo)
-    elapsed = time.perf_counter() - begin
-    return VerifyStats(stones // 2, won, left, right, elapsed)
+def verify_start(stones: int, ruleset: Ruleset = Ruleset.BASIC) -> VerifyStats:
+    """Verify the even alternating start with the given stone count."""
+    return verify_range([stones], ruleset)[0]
 
 
 def verify_range(starts: Iterable[int],
                  ruleset: Ruleset = Ruleset.BASIC) -> list[VerifyStats]:
-    """Verify each start in turn against one memo shared by the range."""
-    memo = Memo()
-    return [verify_start(stones, ruleset, memo) for stones in starts]
+    """Verify the starts in one pass; each start's counts are its own."""
+    starts = list(starts)
+    for stones in starts:
+        if stones < 4 or stones % 2 or stones == 6 or stones > MAX_START_STONES:
+            raise ValueError(f"start must be even, >= 4, not 6 and at most "
+                             f"{MAX_START_STONES}; got {stones}")
+    roots = [normalize(Game.of([alternating(s, "o")])).parts for s in starts]
+    lost, left, right = _search(roots, ruleset)
+
+    def owned(counts: Counter, bit: int) -> int:
+        return sum(n for mask, n in counts.items() if mask & bit)
+    return [VerifyStats(stones // 2, not lost >> i & 1, owned(left, 1 << i),
+                        owned(right, 1 << i)) for i, stones in enumerate(starts)]
 
 
 def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:

@@ -26,9 +26,11 @@ _CACHE = SolveCache(order="fast")
 
 @lru_cache(maxsize=None)
 def _verified(stones: int):
-    """A basic start verified with its own memo; criteria 8-10 read its
-    standalone time and node counts."""
-    return verify_start(stones)
+    """A basic start verified alone and the seconds it took; criteria 8-10
+    read its standalone time and node counts."""
+    begin = time.perf_counter()
+    stats = verify_start(stones)
+    return stats, time.perf_counter() - begin
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -117,11 +119,11 @@ def test_criterion_07_u_closure():
 
 def test_criterion_08_verification_reproduction():
     basic = [_verified(s) for s in range(8, 51, 2)]
-    # one shared memo gives the verdicts of a memo per start
-    # (test_shared_memo_counts_match_separate_runs) and searches each game once
+    # one pass over the range gives the verdicts of a pass per start
+    # (test_shared_memo_counts_match_separate_runs) and expands each game once
     improved = verify_range(range(8, 61, 2), Ruleset.IMPROVED)
-    slowest = max(st.elapsed for st in basic)
-    ok = (all(st.left_wins for st in basic) and
+    slowest = max(seconds for _, seconds in basic)
+    ok = (all(st.left_wins for st, _ in basic) and
           all(st.left_wins for st in improved) and slowest <= 300)
     assert report(8, ok, f"left wins on basic 8..50 and improved 8..60; "
                          f"slowest basic run {slowest:.1f}s (limit 300s)")
@@ -131,7 +133,7 @@ def test_criterion_09_node_counts():
     reference = {4: (9, 5), 10: (36, 17), 20: (1957, 581), 30: (45820, 10522)}
     details, in_band = [], []
     for n, (left_ref, right_ref) in reference.items():
-        st = _verified(2 * n)
+        st, _ = _verified(2 * n)
         for got, ref in ((st.left_nodes, left_ref), (st.right_nodes, right_ref)):
             in_band.append(ref / 2 <= got <= ref * 2)
         details.append(f"n={n}:{st.left_nodes}/{left_ref},{st.right_nodes}/{right_ref}")
@@ -150,7 +152,7 @@ def test_criterion_09_node_counts():
 
 
 def test_criterion_10_growth_trend_informational():
-    times = {s: _verified(s).elapsed for s in range(28, 51, 2)}
+    times = {s: _verified(s)[1] for s in range(28, 51, 2)}
     ratios = [math.log(times[s] / times[s - 2])
               for s in range(30, 51, 2) if times[s - 2] > 0]
     avg = sum(ratios) / len(ratios)

@@ -100,7 +100,7 @@ def test_each_step_decreases_potential(g):
         if step is None:
             break
         _, h = step
-        assert potential(h) < potential(g)
+        assert potential(h.parts) < potential(g.parts)
         g = h
 
 

@@ -76,6 +76,23 @@ def test_huge_token_is_rejected_before_it_is_built(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_shorthand_count_is_judged_by_value(capsys):
+    # leading zeros do not count, however many there are: a0004 is a4
+    token = "a" + "0" * 5000 + "4"
+    for verb, out in (("normalize", "a4"), ("solve", "N")):
+        assert run([verb, token]) == 0
+        assert capsys.readouterr().out.strip() == out
+
+
+def test_long_tokens_are_echoed_short(capsys):
+    # a malformed token, and a count int() converts but no budget admits
+    for token, code in (("b" + "9" * 5000, 2), ("a" + "8" * 4000, 3)):
+        assert run(["normalize", token]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 100, err
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["solve", "oq"]) == 2
     assert run(["normalize", "a4 ++ a2"]) == 2
@@ -141,12 +158,13 @@ def test_best_strategy_gap_fails_the_claim(capsys, monkeypatch):
 
 
 def test_verify_reports_a_strategy_gap(capsys, drop_rule_row):
-    # a table without row 1d has no move on a8
+    # a table without row 1d has no move on a8 or a10; the pass, which goes
+    # in decreasing potential, meets a10 first
     drop_rule_row("1d")
     assert run(["verify", "--from", "8", "--to", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: no rule matches oxoxoxox"]
+    assert captured.err.splitlines() == ["error: no rule matches oxoxoxoxox"]
 
 
 def test_verify_gap_keeps_an_earlier_csv(capsys, drop_rule_row, tmp_path):
@@ -159,7 +177,7 @@ def test_verify_gap_keeps_an_earlier_csv(capsys, drop_rule_row, tmp_path):
     drop_rule_row(None)
     assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == "n,runtime_seconds,left_nodes,right_nodes"
+    assert lines[0] == "n,left_nodes,right_nodes"
     assert len(lines) == 3
 
 
@@ -198,7 +216,7 @@ def test_verify_skips_six_and_writes_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "skipping the 6-stone start" in captured.err
     rows = list(csv.reader(out_csv.open()))
-    assert rows[0] == ["n", "runtime_seconds", "left_nodes", "right_nodes"]
+    assert rows[0] == ["n", "left_nodes", "right_nodes"]
     assert [r[0] for r in rows[1:]] == ["2", "4", "5"]
 
 
@@ -218,7 +236,7 @@ def test_verify_rejects_huge_starts_before_building_them(capsys):
 
 
 def test_verify_has_no_jobs_flag(capsys):
-    # a range runs in one process against one shared memo
+    # a range is one pass in one process, so there is nothing to share out
     assert run(["verify", "--from", "8", "--to", "12", "--jobs", "2"]) == 2
     assert run(["verify", "--from", "8", "--to", "8", "--jobs", "1"]) == 2
     assert capsys.readouterr().out == ""

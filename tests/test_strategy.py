@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from linclob import strategy
+from linclob import strategy, verifier
 from linclob.core import (
     BLACK, Game, apply_move, clobbers, expand_shorthand, legal_moves,
     parse_position,
@@ -13,7 +13,7 @@ from linclob.strategy import (
     choose_left_move, require_scope, table_rows,
 )
 from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target
-from linclob.verifier import Memo, verify_start
+from linclob.verifier import verify_range
 
 
 def norm(text: str) -> Game:
@@ -253,16 +253,21 @@ def literal_rule_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
     raise StrategyGap(f"no rule matches {g}")
 
 
-def test_row_lookup_matches_the_literal_scan():
+def test_row_lookup_matches_the_literal_scan(monkeypatch):
     games = list(enumerate_s_games(30, 4))
     assert len(games) == 3353
-    # every Left node of a shared-memo 8..50 run, in both rulesets
+    # every non-empty Left node of an 8..50 run, in both rulesets
+    left_child = verifier.left_child
     for ruleset, keys in ((Ruleset.BASIC, 10905), (Ruleset.IMPROVED, 10602)):
-        memo = Memo()
-        for stones in range(8, 51, 2):
-            verify_start(stones, ruleset, memo)
-        assert len(memo.left) == keys
-        games += map(Game, memo.left)
+        nodes = set()
+
+        def recorded(parts, ruleset):
+            nodes.add(parts)
+            return left_child(parts, ruleset)
+        monkeypatch.setattr(verifier, "left_child", recorded)
+        verify_range(range(8, 51, 2), ruleset)
+        assert len(nodes) == keys
+        games += map(Game, nodes)
     for g in games:
         assert strategy._rule_row(g.parts) == literal_rule_row(g), g
 

@@ -13,7 +13,7 @@ from linclob.strategy import NotInScope, Ruleset
 from linclob.taxonomy import SClass, enumerate_s_games, s_class
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    Memo, check_u_closure, verify_game, verify_range, verify_start,
+    check_u_closure, verify_game, verify_range, verify_start,
 )
 
 
@@ -32,16 +32,15 @@ def test_verify_start_rejects_bad_starts():
 
 
 def test_verify_game_on_s_games():
-    memo = Memo()
-    assert verify_game(parse_position("a4"), Ruleset.BASIC, memo)
-    assert verify_game(parse_position("xxo"), Ruleset.BASIC, memo)
-    assert verify_game(parse_position("o5"), Ruleset.BASIC, memo)
+    assert verify_game(parse_position("a4"), Ruleset.BASIC)
+    assert verify_game(parse_position("xxo"), Ruleset.BASIC)
+    assert verify_game(parse_position("o5"), Ruleset.BASIC)
 
 
 def test_verify_game_refuses_games_outside_s0():
     # rule 1d moves on a8, but a8 + x5 is no S game
     with pytest.raises(NotInScope):
-        verify_game(parse_position("a8 + x5"), Ruleset.BASIC, Memo())
+        verify_game(parse_position("a8 + x5"), Ruleset.BASIC)
 
 
 def test_memo_determinism():
@@ -63,14 +62,19 @@ def test_shared_memo_counts_match_separate_runs(ruleset):
     assert counts(verify_range(starts[::-1], ruleset)) == want
 
 
-@pytest.mark.parametrize("ruleset, sizes", [(Ruleset.BASIC, (2283, 633)),
-                                            (Ruleset.IMPROVED, (2169, 610))])
-def test_shared_memo_holds_each_node_once(ruleset, sizes):
-    # the numbers of distinct Left and Right nodes of a shared-memo 8..40
-    memo = Memo()
-    for stones in range(8, 41, 2):
-        verify_start(stones, ruleset, memo)
-    assert (len(memo.left), len(memo.right)) == sizes
+@pytest.mark.parametrize("ruleset, calls", [(Ruleset.BASIC, 2283),
+                                            (Ruleset.IMPROVED, 2169)])
+def test_range_expands_each_left_node_once(monkeypatch, ruleset, calls):
+    # the strategy runs once per distinct non-empty Left node of 8..40
+    seen = []
+    left_child = verifier.left_child
+
+    def counted(parts, ruleset):
+        seen.append(parts)
+        return left_child(parts, ruleset)
+    monkeypatch.setattr(verifier, "left_child", counted)
+    assert all(st.left_wins for st in verify_range(range(8, 41, 2), ruleset))
+    assert len(seen) == len(set(seen)) == calls
 
 
 def test_verify_rejects_a_wrong_left_move(monkeypatch):
@@ -82,17 +86,14 @@ def test_verify_rejects_a_wrong_left_move(monkeypatch):
             return "wrong", ("ox",)
         return left_child(parts, ruleset)
     monkeypatch.setattr(verifier, "left_child", wrong)
-    memo = Memo()
-    stats = [verify_start(stones, Ruleset.BASIC, memo) for stones in range(8, 15, 2)]
+    stats = verify_range(range(8, 15, 2))
+    # a lost start counts every node it reaches, not only those searched up
+    # to the first refutation
     assert {st.n: (st.left_wins, st.left_nodes, st.right_nodes) for st in stats} == {
-        4: (True, 3, 3), 5: (False, 5, 4), 6: (True, 1, 1), 7: (False, 11, 8)}
-    assert memo.refuted
+        4: (True, 3, 3), 5: (False, 6, 4), 6: (True, 1, 1), 7: (False, 11, 8)}
     assert cli.run(["verify", "--from", "8", "--to", "14"]) == 1
     monkeypatch.undo()
-    memo = Memo()
-    assert all(verify_start(stones, Ruleset.BASIC, memo).left_wins
-               for stones in range(8, 15, 2))
-    assert not memo.refuted
+    assert all(st.left_wins for st in verify_range(range(8, 15, 2)))
 
 
 _EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
