@@ -86,7 +86,7 @@ _RULES = rule_table()
 
 def potential(parts: Parts) -> int:
     """Termination measure: sum of squared part sizes."""
-    return sum(len(p) ** 2 for p in parts)
+    return sum([len(p) ** 2 for p in parts])
 
 
 def _beta_match(parts: tuple[str, ...]) -> Game | None:
@@ -154,7 +154,8 @@ def part_successors(part: str, player: str
     table: dict[Parts, list[tuple[int, int]]] = {}
     for (f, t), pieces in clobbers(part).items():
         if part[f - 1] == player:
-            table.setdefault(normalize(Game(pieces)).parts, []).append((f, t))
+            form = add_form((), [q for p in pieces for q in _part_form(p)])
+            table.setdefault(form, []).append((f, t))
     return MappingProxyType({form: tuple(moves) for form, moves in table.items()})
 
 

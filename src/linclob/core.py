@@ -58,8 +58,7 @@ def is_monochromatic(stones: str) -> bool:
 
 def alternating(n: int, start: str) -> str:
     """Alternating-color path of n stones beginning with `start`."""
-    other = opponent(start)
-    return "".join(start if i % 2 == 0 else other for i in range(n))
+    return (start + opponent(start)) * (n // 2) + start * (n % 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -127,14 +126,23 @@ def clobbers(part: str) -> Mapping[tuple[int, int], tuple[str, ...]]:
     non-monochromatic pieces left when the vacated cell splits the part.
     """
     table = {}
-    for f in range(len(part)):
-        for t in (f - 1, f + 1):
-            if 0 <= t < len(part) and part[t] != part[f]:
-                moved = part[:t] + part[f] + part[t + 1:]
-                table[f + 1, t + 1] = tuple(sorted(
-                    canonical(piece) for piece in (moved[:f], moved[f + 1:])
-                    if not is_monochromatic(piece)))
+    for f, c in enumerate(part):
+        if f and part[f - 1] != c:
+            table[f + 1, f] = _pieces(part[:f - 1] + c, part[f + 1:])
+        if f + 1 < len(part) and part[f + 1] != c:
+            table[f + 1, f + 2] = _pieces(part[:f], c + part[f + 2:])
     return MappingProxyType(table)
+
+
+def _pieces(left: str, right: str) -> tuple[str, ...]:
+    """The canonical non-monochromatic pieces among `left` and `right`, sorted."""
+    kept = []
+    for s in (left, right):
+        if "o" in s and "x" in s:
+            r = s[::-1]
+            kept.append(s if s <= r else r)
+    kept.sort()
+    return tuple(kept)
 
 
 def legal_moves(g: Game, player: str) -> list[Move]:

@@ -220,14 +220,20 @@ def _part_rows(part: str) -> tuple[tuple[tuple[int, int, str], Row, tuple], ...]
 
 def _rule_row(parts: Parts) -> Row:
     """The row of the first applicable rule (order 1a..7b): a whole-game row,
-    else of each part's first row whose copy needs hold, the one of least key."""
+    else of each distinct part's first row whose needs hold, the least key."""
     row = _WHOLE_GAME_ROWS.get(parts)
     if row is not None:
         return row
-    best = None
+    best = prev = None
     for p in parts:
+        if p == prev:
+            continue
+        prev = p
         for key, row, needs in _part_rows(p):
-            if not needs or all(parts.count(q) >= n for q, n in needs):
+            for q, n in needs:
+                if parts.count(q) < n:
+                    break
+            else:
                 if best is None or key < best[0]:
                     best = key, row
                 break

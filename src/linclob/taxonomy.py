@@ -135,14 +135,14 @@ def s_class(g: Game) -> SClass:
         a, b, c, d, e, f, y, z = count_vector(g)
     except NotInK:
         return SClass.NotInS
-    in_s0 = ((y, z) == (1, 0) and a >= c) or \
-            ((y, z) == (0, 0) and a >= c) or \
-            ((y, z) == (0, 1) and a >= c + 1)
-    if (y, z) == (0, 0) and a >= c + 1 and not in_Q(g):
-        return SClass.S1
-    if (y, z, a, b, c) == (0, 0, 0, 0, 0) and e >= 1 and (d == 0 or d + e >= 3):
+    if y or z:  # S0 if (y, z) = (1, 0) and a >= c, or (0, 1) and a >= c + 1
+        in_s0 = (y == 1 and not z and a >= c) or (z == 1 and not y and a > c)
+        return SClass.S0only if in_s0 else SClass.NotInS
+    if a > c:  # S1: (y, z) = 0, a >= c + 1, not in Q; else S0 (S2 needs a = 0)
+        return SClass.S0only if in_Q(g) else SClass.S1
+    if not (a or b or c) and e and (not d or d + e >= 3):  # S2: (y, z, a, b, c) = 0
         return SClass.S2
-    return SClass.S0only if in_s0 else SClass.NotInS
+    return SClass.S0only if a == c else SClass.NotInS  # S0: (y, z) = 0, a >= c
 
 
 def in_S0(g: Game) -> bool:

@@ -146,7 +146,8 @@ def test_criterion_09_node_counts():
             "reference's 9/5, and the left count is outside the band; the n=4 "
             "tree is a8 ->(1d) o5 with two distinct Right replies, and a "
             "search of it counts 7/7 with no memo and no dedupe, 4/4 with "
-            "dedupe only and 3/3 with this verifier's memo, so none of these "
+            "dedupe only and 3/3 with this verifier's pass, which expands "
+            "each distinct node once, so none of these "
             "searches reproduces 9/5 and what the reference counted is "
             "unknown; n=10,20,30 are all within band")
 

@@ -6,10 +6,11 @@ from hypothesis import given, strategies as st
 from linclob.core import (
     BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
     ParseError,
-    add, alternating, apply_move, canonical, expand_shorthand, flip,
+    add, alternating, apply_move, canonical, clobbers, expand_shorthand, flip,
     format_game, is_monochromatic, legal_moves, negate, opponent,
     parse_position, part_token,
 )
+from linclob.taxonomy import u_parts
 
 parts = st.text(alphabet="ox", min_size=1, max_size=8)
 games = st.lists(parts, min_size=0, max_size=4).map(Game.of)
@@ -113,6 +114,15 @@ def test_clobber_table_matches_a_literal_cell_scan():
                     else:
                         with pytest.raises(IllegalMove):
                             apply_move(g, m)
+    # every U part of up to 44 stones: the long parts the verifier reaches
+    for part in u_parts(44):
+        g = Game((part,))
+        table = clobbers(part)
+        scan = sorted((m.from_index, m.to_index)
+                      for m in _scan_moves(g, BLACK) + _scan_moves(g, WHITE))
+        assert list(table) == scan, part
+        for (f, t), pieces in table.items():
+            assert pieces == _apply_move_reference(g, Move(0, f, t)).parts, part
 
 
 def _apply_move_reference(g: Game, m: Move) -> Game:
@@ -219,4 +229,8 @@ def test_part_token_prefers_shortest():
 def test_alternating_and_monochromatic():
     assert alternating(5, "o") == "oxoxo"
     assert alternating(4, "x") == "xoxo"
+    for n in range(42):
+        for c in (BLACK, WHITE):
+            cells = "".join(c if i % 2 == 0 else opponent(c) for i in range(n))
+            assert alternating(n, c) == cells
     assert is_monochromatic("ooo") and not is_monochromatic("oxo")

@@ -10,7 +10,7 @@ from linclob.asf import normalize
 from linclob.taxonomy import (
     NotInK, SClass, classify_part, count_vector, enumerate_s_games, in_K,
     in_LL, in_Q, in_S0, in_U, in_left_target, in_shape, k_parts, part_slot,
-    s_class, u_parts,
+    s_class, u_parts, _multisets,
 )
 
 
@@ -164,6 +164,43 @@ def test_s_class_examples():
     assert s_class(norm("a8")) is SClass.S0only       # y=1 start
     assert s_class(norm("oox")) is SClass.NotInS      # a >= c fails
     assert s_class(Game(())) is SClass.NotInS
+
+
+def literal_s_class(g: Game) -> SClass:
+    """The S-family conditions as the paper states them, on the count vector;
+    the reference for `s_class`."""
+    if not g.parts:
+        return SClass.NotInS
+    try:
+        a, b, c, d, e, f, y, z = count_vector(g)
+    except NotInK:
+        return SClass.NotInS
+    in_s0 = ((y, z) == (1, 0) and a >= c) or \
+            ((y, z) == (0, 0) and a >= c) or \
+            ((y, z) == (0, 1) and a >= c + 1)
+    if (y, z) == (0, 0) and a >= c + 1 and not in_Q(g):
+        return SClass.S1
+    if (y, z, a, b, c) == (0, 0, 0, 0, 0) and e >= 1 and (d == 0 or d + e >= 3):
+        return SClass.S2
+    return SClass.S0only if in_s0 else SClass.NotInS
+
+
+def test_s_class_matches_the_literal_conditions():
+    # every multiset of up to 5 K parts of at most 30 stones, normalized or
+    # not, in S or not; the Q games; the empty game; a non-K part
+    pool = k_parts(30)
+    games = [Game(tuple(sorted(combo)))
+             for n in range(1, 6) for combo in _multisets(pool, 0, n, 30)]
+    assert len(games) == 14351
+    games += [norm(t) for t in ("o5 + a2", "o7 + a4", "o15 + a4 + a2")]
+    assert all(in_Q(g) for g in games[-3:])
+    games += [Game(()), Game((part("oo5"), part("o5")))]
+    assert not in_K(part("oo5"))
+    seen = set()
+    for g in games:
+        assert s_class(g) is literal_s_class(g), g
+        seen.add(s_class(g))
+    assert seen == set(SClass)
 
 
 def test_left_target_membership():
