@@ -1,19 +1,19 @@
 """Left's move choice: the rule table 1a..7b and the improved "spiral" row.
 
-Each rule states a row `(rule id, part, tokens)`: Left moves on `part` and
-leaves pieces whose standard form is that of the shorthand `tokens`.  The
-table is data, stated once: `_WHOLE_GAME_ROWS` holds the rows stated for one
-whole game, looked up first, and `_RULE_ROWS` lists every other rule in
-precedence order, so the first row that applies fixes the move; the rows
-that can fire on each part are derived from it once (`_part_rows`).
-Choosing a row normalizes nothing.  `_row_clobbers` realizes a row on the
-lone part, as the entry of its target form in the part's Left move table
-(`asf.part_successors`), which is exact for the whole game:
-`normalize` merges part forms and cancels p against -p, and the rest of a
-standard-form game is its own form.  So Left's child is the row's target
-form added to the rest of the game (`asf.add_form`); the search reads only
-it and the rule id (`left_child`).  `ambiguous_rows` checks that lookup on
-every row of `table_rows`.
+Each rule states a row `(rule id, part, form)`: Left moves on `part` and
+leaves pieces whose standard form is `form`.  The table is data, stated
+once in shorthand tokens, each resolved to its standard form once (`_form`):
+`_WHOLE_GAME_ROWS` holds the rows stated for one whole game, looked up
+first, and `_RULE_ROWS` lists every other rule in precedence order, so the
+first row that applies fixes the move; the rows that can fire on each part
+are derived from it once (`_part_rows`).  Choosing a row normalizes nothing.
+Left plays the first clobber of the form's entry in the part's Left move
+table (`asf.part_successors`) on the first copy of the part.  The lone part
+is exact for the whole game: `normalize` merges part forms and cancels p
+against -p, and the rest of a standard-form game is its own form, so the
+child is the form added to the rest of the game (`asf.add_form`).
+`left_child` returns the rule id, that move and the child; `ambiguous_rows`
+checks the lookup on every row of `table_rows`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Iterable
 
 from .core import (
     BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
-    negative, part_token,
+    part_token,
 )
-from .asf import Parts, add_form, normalize, normalized_children, part_successors
+from .asf import Parts, add_form, normalize, part_successors
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -59,28 +59,18 @@ class StrategyMove:
     result: Game  # normalized position after the move
 
 
-# (rule id, canonical part Left moves on, shorthand tokens of its pieces)
-Row = tuple[str, str, tuple[str, ...]]
+# (rule id, canonical part Left moves on, standard form of its pieces)
+Row = tuple[str, str, Parts]
 
 
 @lru_cache(maxsize=None)
-def _game(*tokens: str) -> Game:
-    return Game.of(expand_shorthand(t) for t in tokens)
+def _form(*tokens: str) -> Parts:
+    """The standard form of the sum of the shorthand `tokens`."""
+    return normalize(Game.of(expand_shorthand(t) for t in tokens)).parts
 
 
 def _part(token: str) -> str:
     return canonical(expand_shorthand(token))
-
-
-@lru_cache(maxsize=None)
-def _row_clobbers(part: str, tokens: tuple[str, ...]
-                  ) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
-    """The Left clobbers (from, to) on the lone `part` whose pieces normalize
-    to the standard form of `tokens`, in `clobbers(part)` scan order, and the
-    parts of that standard form: the target's entry in the part's move
-    table, `asf.part_successors`."""
-    target = normalize(_game(*tokens)).parts
-    return part_successors(part, BLACK).get(target, ()), target
 
 
 def _spiral_row(parts: Parts) -> Row | None:
@@ -98,54 +88,53 @@ def _spiral_row(parts: Parts) -> Row | None:
     # Right answers to ox + ox = 0, so it may never be left for Right.
     if j < k + 3 or m == 9:
         return None
-    return "spiral", a, (f"o{m}", f"xx{2 * k}")
+    return "spiral", a, _form(f"o{m}", f"xx{2 * k}")
 
 
-def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC) -> tuple[str, Parts]:
-    """The first applicable rule's id (order 1a..7b) and the standard form of
-    its child of the standard-form `parts`.  If that child is outside
-    S1 ∪ S2 ∪ LL ∪ {0} but some Left move's child is inside, the first such
-    child is taken instead (rule id suffixed with "-fallback"); with none, the
-    mandated child stands.  A game that no row matches raises StrategyGap."""
+def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
+               ) -> tuple[str, tuple[int, int, int], Parts]:
+    """The first applicable rule's id (order 1a..7b), its move (part index,
+    from, to) on the standard-form `parts` and the standard form of the move's
+    child.  If that child is outside S1 ∪ S2 ∪ LL ∪ {0} but some Left move's
+    child is inside, the first such move in `legal_moves` order is taken
+    instead (rule id suffixed with "-fallback"); with none, the mandated move
+    stands.  A game that no row matches, or a row whose form its part cannot
+    reach, raises StrategyGap."""
     if not parts:
         raise NotInScope("no moves on the empty game")
     row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
-    rule_id, part, tokens = row or _rule_row(parts)
-    hits, target = _row_clobbers(part, tokens)
-    if not hits:
-        raise StrategyGap(f"rule {rule_id}: no Left move on {part} reaches "
-                          f"{' + '.join(tokens) or '0'}")
+    rule_id, part, form = row or _rule_row(parts)
+    hits = part_successors(part, BLACK).get(form)
+    if hits is None:
+        raise StrategyGap(f"rule {rule_id}: no Left move on {part_token(part)} "
+                          f"reaches {format_game(Game(form), 'short')}")
     i = parts.index(part)
-    child = add_form(parts[:i] + parts[i + 1:], target)
+    move, child = (i, *hits[0]), add_form(parts[:i] + parts[i + 1:], form)
     if in_left_target(Game(child)):
-        return rule_id, child
-    for other in normalized_children(parts, BLACK):
-        if in_left_target(Game(other)):
-            return rule_id + "-fallback", other
-    return rule_id, child
+        return rule_id, move, child
+    for j, other in enumerate(parts):
+        rest = parts[:j] + parts[j + 1:]
+        for other_form, moves in part_successors(other, BLACK).items():
+            reached = add_form(rest, other_form)
+            if in_left_target(Game(reached)):
+                return rule_id + "-fallback", (j, *moves[0]), reached
+    return rule_id, move, child
 
 
 def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
-    """`left_child` on g with the first Left move, in `legal_moves` order, that
-    reaches the child.  Its part is the longest with fewer copies in the child:
-    the pieces' form adds or cancels only shorter parts, and no move on another
-    part reaches the same child (`asf.normalized_children`)."""
-    rule_id, child = left_child(g.parts, ruleset)
-    part = max((p for p in g.parts if child.count(p) < g.parts.count(p)), key=len)
-    i = g.parts.index(part)
-    form = add_form(child, map(negative, g.parts[:i] + g.parts[i + 1:]))
-    f, t = part_successors(part, BLACK)[form][0]
-    return StrategyMove(rule_id, Move(i, f, t), Game(child))
+    """`left_child` on g, with its move as a `Move` and its child as a `Game`."""
+    rule_id, move, child = left_child(g.parts, ruleset)
+    return StrategyMove(rule_id, Move(*move), Game(child))
 
 
 # Rows stated for one whole game; they take precedence over the rule order.
-_WHOLE_GAME_ROWS: dict[tuple[str, ...], Row] = {
-    _game("a8", "a2").parts: ("1a", _part("a8"), ("xxo", "a4")),
-    _game("a10", "a4").parts: ("1b", _part("a10"), ("o5", "xx4")),
-    _game("a18", "a4", "a2").parts: ("1c", _part("a18"), ("a14", "xxo")),
-    _game("o5", "oox").parts: ("3a", _part("o5"), ("xxo",)),
-    _game("oo10", "a2").parts: ("4a", _part("oo10"), ("o7", "a2")),
-    _game("oo12", "a4").parts: ("4b", _part("oo12"), ("oo8", "xxo")),
+_WHOLE_GAME_ROWS: dict[Parts, Row] = {
+    _form("a8", "a2"): ("1a", _part("a8"), _form("xxo", "a4")),
+    _form("a10", "a4"): ("1b", _part("a10"), _form("o5", "xx4")),
+    _form("a18", "a4", "a2"): ("1c", _part("a18"), _form("a14", "xxo")),
+    _form("o5", "oox"): ("3a", _part("o5"), _form("xxo")),
+    _form("oo10", "a2"): ("4a", _part("oo10"), _form("o7", "a2")),
+    _form("oo12", "a4"): ("4b", _part("oo12"), _form("oo8", "xxo")),
 }
 
 # Every other rule, in precedence order: the first row that applies fixes
@@ -153,7 +142,7 @@ _WHOLE_GAME_ROWS: dict[tuple[str, ...], Row] = {
 # applies when g holds each listed part, counted with multiplicity.  A class
 # row (rule id, class flag, least stones, token head, shift) applies when g
 # has a part of that class with at least `least` stones; Left moves on the
-# smallest such part p and leaves the token f"{head}{len(p) + shift}".
+# smallest such part p and leaves the form of f"{head}{len(p) + shift}".
 # This order gives the precedence of the paper's rule-by-rule statement:
 # - every row of 3b-3d needs oox, and oox is in oOo', so they apply only
 #   where rule 3 does;
@@ -161,9 +150,11 @@ _WHOLE_GAME_ROWS: dict[tuple[str, ...], Row] = {
 #   smallest oO' part;
 # - 6a comes first, so 6b/6c/6d each pick the largest O' part below 13
 #   stones.
-# Fixed rows hold canonical parts and their needs as (part, copies) pairs.
+# Fixed rows hold canonical parts, their needs as (part, copies) pairs and
+# the form of their tokens.
 _RULE_ROWS = tuple(
-    (row[0], tuple(Counter(map(_part, row[1])).items()), _part(row[2]), row[3])
+    (row[0], tuple(Counter(map(_part, row[1])).items()), _part(row[2]),
+     _form(*row[3]))
     if len(row) == 4 else row
     for row in (
         ("1d", "Aprime", 8, "o", -3),
@@ -206,15 +197,15 @@ def _part_rows(part: str) -> tuple[tuple[tuple[int, int, str], Row, tuple], ...]
     rows = []
     for i, row in enumerate(_RULE_ROWS):
         if len(row) == 4:
-            rule_id, needs, on, tokens = row
+            rule_id, needs, on, form = row
             if on == part:  # one copy of `part` is then present
                 needs = tuple(need for need in needs if need != (part, 1))
-                rows.append(((i, len(part), part), (rule_id, part, tokens), needs))
+                rows.append(((i, len(part), part), (rule_id, part, form), needs))
         else:
             rule_id, flag, least, head, shift = row
             if len(part) >= least and flag in classify_part(part):
-                tokens = (f"{head}{len(part) + shift}",)
-                rows.append(((i, len(part), part), (rule_id, part, tokens), ()))
+                form = _form(f"{head}{len(part) + shift}")
+                rows.append(((i, len(part), part), (rule_id, part, form), ()))
     return tuple(rows)
 
 
@@ -250,21 +241,20 @@ def table_rows(max_stones: int = 30) -> list[Row]:
     cases += [_rule_row((p,)) for p in k_parts(max_stones)]
     for a in range(4, max_stones + 1, 2):
         for oo in range(4, a, 2):
-            row = _spiral_row(_game(f"a{a}", f"oo{oo}").parts)
+            row = _spiral_row((_part(f"a{a}"), _part(f"oo{oo}")))
             if row is not None:
                 cases.append(row)
     return cases
 
 
-def ambiguous_rows(cases: Iterable[tuple[str, str, Iterable[str]]]) -> list[str]:
-    """The `rule_id:part->tokens` of each (rule id, part, result tokens) row
-    whose result is reached from the lone part (a token or a stone string) by
-    no Left move, or by moves to more than one position before
-    normalization."""
+def ambiguous_rows(cases: Iterable[Row]) -> list[str]:
+    """The `rule_id:part->form` of each (rule id, part, form) row whose form
+    is reached from the lone part by no Left move, or by moves to more than
+    one position before normalization."""
     bad: list[str] = []
-    for rule_id, token, tokens in cases:
-        part, tokens = _part(token), tuple(tokens)
+    for rule_id, part, form in cases:
         table = clobbers(part)
-        if len({table[c] for c in _row_clobbers(part, tokens)[0]}) != 1:
-            bad.append(f"{rule_id}:{part_token(part)}->{'+'.join(tokens) or '0'}")
+        if len({table[c] for c in part_successors(part, BLACK).get(form, ())}) != 1:
+            bad.append(f"{rule_id}:{part_token(part)}->"
+                       f"{format_game(Game(form), 'short')}")
     return bad

@@ -70,7 +70,7 @@ def verify_game(g: Game, ruleset: Ruleset) -> bool:
 def _left_node(parts: Parts, ruleset: Ruleset) -> Parts | None:
     """Left's step: None at the empty game, where Left cannot move and
     loses, else the strategy's child."""
-    return left_child(parts, ruleset)[1] if parts else None
+    return left_child(parts, ruleset)[2] if parts else None
 
 
 def _search(roots: list[Parts], ruleset: Ruleset) -> tuple[int, Counter, Counter]:

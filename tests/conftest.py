@@ -20,18 +20,25 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def drop_rule_row():
-    """Left's rule table without one row: `drop_rule_row("1d")` removes row
-    1d, and `drop_rule_row(None)` removes none.  The rows that can fire on a
-    part are cached from the table, so the cache is cleared at setup, at each
-    change and at teardown, which restores the table and checks that a8
-    picks 1d again."""
+def rule_rows():
+    """Left's rule table for one test: `rule_rows(rows)` puts `rows` in place
+    of `_RULE_ROWS`.  The rows that can fire on a part are cached from the
+    table, so the cache is cleared at setup, at each change and at teardown,
+    which restores the table and checks that a8 picks 1d again."""
     table = strategy._RULE_ROWS
 
     def use(rows):
         strategy._RULE_ROWS = rows
         strategy._part_rows.cache_clear()
     use(table)
-    yield lambda rule_id: use(tuple(row for row in table if row[0] != rule_id))
+    yield use
     use(table)
     assert strategy.choose_left_move(Game(("oxoxoxox",))).rule_id == "1d"
+
+
+@pytest.fixture
+def drop_rule_row(rule_rows):
+    """Left's rule table without one row: `drop_rule_row("1d")` removes row
+    1d, and `drop_rule_row(None)` removes none."""
+    table = strategy._RULE_ROWS
+    return lambda rule_id: rule_rows(tuple(row for row in table if row[0] != rule_id))

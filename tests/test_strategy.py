@@ -2,12 +2,12 @@ from collections import Counter
 
 import pytest
 
-from linclob import strategy, verifier
+from linclob import cli, strategy, verifier
 from linclob.core import (
-    BLACK, Game, apply_move, clobbers, expand_shorthand, legal_moves,
-    parse_position,
+    BLACK, Game, Move, apply_move, canonical, clobbers, expand_shorthand,
+    legal_moves, parse_position,
 )
-from linclob.asf import normalize, normalize_trace
+from linclob.asf import normalize, normalize_trace, part_successors
 from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
     choose_left_move, require_scope, table_rows,
@@ -28,6 +28,13 @@ def literal(g: Game) -> Game:
 
 def pick(text: str, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     return choose_left_move(norm(text), ruleset)
+
+
+def literal_row(rule_id: str, token: str, *tokens: str) -> tuple[str, str, tuple]:
+    """A row (rule id, part, form) from shorthand, its form by the literal
+    rewriter."""
+    form = literal(Game.of(expand_shorthand(t) for t in tokens)).parts
+    return rule_id, canonical(expand_shorthand(token)), form
 
 
 def test_whole_game_exceptions():
@@ -203,26 +210,28 @@ def test_rule_rows_are_unambiguous():
 
 def test_row_clobbers_match_a_literal_filter():
     # every row of table_rows(30): whole-game, fixed, lone-K-part
-    # and spiral rows
+    # and spiral rows; each form is a fixpoint of the literal rewriter, and
+    # its entry in the part's table holds the Left clobbers whose pieces
+    # literally normalize to it
     rows = table_rows(30)
     kinds = {rule_id for rule_id, _, _ in rows}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
-    for rule_id, part, tokens in rows:
-        target = literal(Game.of(expand_shorthand(t) for t in tokens)).parts
+    for rule_id, part, form in rows:
+        assert literal(Game(form)).parts == form, (rule_id, part, form)
         hits = tuple(c for c, pieces in clobbers(part).items()
                      if part[c[0] - 1] == BLACK
-                     and literal(Game(pieces)).parts == target)
-        assert strategy._row_clobbers(part, tuple(tokens)) == (hits, target), \
-            (rule_id, part, tokens)
+                     and literal(Game(pieces)).parts == form)
+        assert part_successors(part, BLACK).get(form, ()) == hits, \
+            (rule_id, part, form)
 
 
 def _whole_game_search(g: Game, rule_id: str, part: str,
-                       tokens: tuple[str, ...]) -> StrategyMove | None:
+                       form: tuple[str, ...]) -> StrategyMove | None:
     """The literal realization of a row: the first Left move on `part` whose
-    literally normalized whole result equals that of g - part + tokens."""
+    literally normalized whole result equals that of g - part + form."""
     rest = list(g.parts)
     rest.remove(part)
-    expected = literal(Game.of(rest + [expand_shorthand(t) for t in tokens]))
+    expected = literal(Game.of(rest + list(form)))
     for m in legal_moves(g, BLACK):
         if g.parts[m.part_index] == part:
             result = literal(apply_move(g, m))
@@ -233,40 +242,47 @@ def _whole_game_search(g: Game, rule_id: str, part: str,
 
 def literal_rule_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
     """The row of the first applicable rule by the literal scan: the
-    whole-game rows, then every row of `_RULE_ROWS` in order; the reference
-    for the per-part lookup of `strategy._rule_row`."""
+    whole-game rows, then every row of `_RULE_ROWS` in order, a class row's
+    form by the literal rewriter; the reference for the per-part lookup of
+    `strategy._rule_row`."""
     row = strategy._WHOLE_GAME_ROWS.get(g.parts)
     if row is not None:
         return row
     have = Counter(g.parts)
     for row in strategy._RULE_ROWS:
         if len(row) == 4:
-            rule_id, needs, part, tokens = row
+            rule_id, needs, part, form = row
             if part in have and all(have[p] >= n for p, n in needs):
-                return rule_id, part, tokens
+                return rule_id, part, form
         else:
             rule_id, flag, least, head, shift = row
             fits = [p for p in have if len(p) >= least and flag in classify_part(p)]
             if fits:
                 p = min(fits, key=lambda q: (len(q), q))
-                return rule_id, p, (f"{head}{len(p) + shift}",)
+                token = expand_shorthand(f"{head}{len(p) + shift}")
+                return rule_id, p, literal(Game.of([token])).parts
     raise StrategyGap(f"no rule matches {g}")
 
 
 def test_row_lookup_matches_the_literal_scan(monkeypatch):
     games = list(enumerate_s_games(30, 4))
     assert len(games) == 3353
-    # every non-empty Left node of an 8..50 run, in both rulesets
+    # every non-empty Left node of an 8..50 run, in both rulesets; each
+    # node's move is legal and its literal result is the node's child
     left_child = verifier.left_child
     for ruleset, keys in ((Ruleset.BASIC, 10905), (Ruleset.IMPROVED, 10602)):
-        nodes = set()
+        nodes = {}
 
         def recorded(parts, ruleset):
-            nodes.add(parts)
-            return left_child(parts, ruleset)
+            nodes[parts] = left_child(parts, ruleset)
+            return nodes[parts]
         monkeypatch.setattr(verifier, "left_child", recorded)
         verify_range(range(8, 51, 2), ruleset)
         assert len(nodes) == keys
+        for parts, (_, move, child) in nodes.items():
+            g, m = Game(parts), Move(*move)
+            assert m in legal_moves(g, BLACK), (g, m)
+            assert literal(apply_move(g, m)).parts == child, (g, m)
         games += map(Game, nodes)
     for g in games:
         assert strategy._rule_row(g.parts) == literal_rule_row(g), g
@@ -293,13 +309,43 @@ def test_rows_match_the_whole_game_search(ruleset):
         assert choose_left_move(g, ruleset) == _reference_move(g, ruleset), g
 
 
+def test_fallback_moves_match_the_whole_game_search(rule_rows):
+    # with 5j's a2 -> 0 planted first, a game holding a2 often leaves the
+    # target, and the fallback's move is on a later part or the first of
+    # several clobbers that leave one form
+    rule_id, part, form = literal_row("planted", "a2")
+    rule_rows(((rule_id, (), part, form),) + strategy._RULE_ROWS)
+    games = list(enumerate_s_games(24, 4))
+    moves = [choose_left_move(g) for g in games]
+    fallbacks = [sm.move for sm in moves if sm.rule_id == "planted-fallback"]
+    assert len(fallbacks) == 238
+    assert sum(m.part_index > 0 for m in fallbacks) == 105
+    for g, sm in zip(games, moves):
+        assert sm == _reference_move(g, Ruleset.BASIC), g
+
+
 def test_ambiguous_row_is_reported():
     # two Left moves on a6 reach a2 before normalization: oxo and oxoxx
-    assert ambiguous_rows([("planted", "a6", ["a2"])]) == ["planted:a6->a2"]
+    assert ambiguous_rows([literal_row("planted", "a6", "a2")]) == ["planted:a6->ox"]
     # a row no move reaches is reported too; a unique row is not
-    assert ambiguous_rows([("none", "a6", ["o5"]), ("1d", "a8", ["o5"])]) \
-        == ["none:a6->o5"]
-    # two spiral rows on one a-part: the label names the unreachable one
-    assert ambiguous_rows([("spiral", "a14", ["o7", "xx6"]),
-                           ("spiral", "a14", ["o9", "xx6"])]) \
-        == ["spiral:a14->o9+xx6"]
+    assert ambiguous_rows([literal_row("none", "a6", "o5"),
+                           literal_row("1d", "a8", "o5")]) == ["none:a6->o5"]
+    # two spiral rows on one a-part: the label names the unreachable one,
+    # o9 + xx6 in standard form
+    assert ambiguous_rows([literal_row("spiral", "a14", "o7", "xx6"),
+                           literal_row("spiral", "a14", "o9", "xx6")]) \
+        == ["spiral:a14->ox + oxx + xx6"]
+
+
+def test_row_no_move_realizes_is_a_gap(rule_rows, capsys):
+    # a planted first row sends a8 to o7, which no Left move on a8 leaves
+    rule_id, part, form = literal_row("planted", "a8", "o7")
+    assert all(literal(Game(pieces)).parts != form
+               for c, pieces in clobbers(part).items() if part[c[0] - 1] == BLACK)
+    rule_rows(((rule_id, (), part, form),) + strategy._RULE_ROWS)
+    message = "rule planted: no Left move on a8 reaches o7"
+    with pytest.raises(StrategyGap) as gap:
+        choose_left_move(norm("a8"))
+    assert str(gap.value) == message
+    assert cli.run(["best", "a8"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

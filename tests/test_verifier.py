@@ -83,7 +83,7 @@ def test_verify_rejects_a_wrong_left_move(monkeypatch):
 
     def wrong(parts, ruleset):
         if parts == ("oxox",):
-            return "wrong", ("ox",)
+            return "wrong", (0, 2, 1), ("ox",)
         return left_child(parts, ruleset)
     monkeypatch.setattr(verifier, "left_child", wrong)
     stats = verify_range(range(8, 15, 2))
