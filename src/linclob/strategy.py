@@ -2,11 +2,13 @@
 
 Each rule states a row `(rule id, part, form)`: Left moves on `part` and
 leaves pieces whose standard form is `form`.  The table is data, stated
-once in shorthand tokens, each resolved to its standard form once (`_form`):
-`_WHOLE_GAME_ROWS` holds the rows stated for one whole game, looked up
-first, and `_RULE_ROWS` lists every other rule in precedence order, so the
-first row that applies fixes the move; the rows that can fire on each part
-are derived from it once (`_part_rows`).  Choosing a row normalizes nothing.
+once in shorthand: `_WHOLE_GAME_TOKENS` holds the rows stated for one whole
+game, looked up first, `_RULE_TOKENS` every other rule in precedence order,
+so the first row that applies fixes the move, and `_spiral_tokens` the
+improved ruleset's row.  Tokens are resolved to their standard form once
+(`_form`): into `_WHOLE_GAME_ROWS` and `_RULE_ROWS` at import, for class
+rows in the rows that can fire on a part (`_part_rows`).  Choosing a row
+normalizes nothing.
 Left plays the first clobber of the form's entry in the part's Left move
 table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
@@ -28,7 +30,7 @@ from .core import (
     BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
     part_token,
 )
-from .asf import Parts, add_form, normalize, part_successors
+from .asf import Parts, add_form, normalize, normalized_children, part_successors
 from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
 
 
@@ -73,9 +75,10 @@ def _part(token: str) -> str:
     return canonical(expand_shorthand(token))
 
 
-def _spiral_row(parts: Parts) -> Row | None:
-    """The improved ruleset's row on a(2j) + oo(2k): a(2j) -> o(m) + xx(2k)
-    with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves o(m) alone."""
+def _spiral_tokens(parts: Parts) -> tuple[str, str, tuple[str, str]] | None:
+    """The improved ruleset's row on a(2j) + oo(2k) in shorthand: a(2j) ->
+    o(m) + xx(2k) with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves
+    o(m) alone."""
     if len(parts) != 2:
         return None
     a = next((p for p in parts if in_shape(p, "A")), None)
@@ -88,7 +91,7 @@ def _spiral_row(parts: Parts) -> Row | None:
     # Right answers to ox + ox = 0, so it may never be left for Right.
     if j < k + 3 or m == 9:
         return None
-    return "spiral", a, _form(f"o{m}", f"xx{2 * k}")
+    return "spiral", a, (f"o{m}", f"xx{2 * k}")
 
 
 def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
@@ -102,8 +105,8 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
     reach, raises StrategyGap."""
     if not parts:
         raise NotInScope("no moves on the empty game")
-    row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
-    rule_id, part, form = row or _rule_row(parts)
+    row = _spiral_tokens(parts) if ruleset is Ruleset.IMPROVED else None
+    rule_id, part, form = (*row[:2], _form(*row[2])) if row else _rule_row(parts)
     hits = part_successors(part, BLACK).get(form)
     if hits is None:
         raise StrategyGap(f"rule {rule_id}: no Left move on {part_token(part)} "
@@ -112,12 +115,9 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
     move, child = (i, *hits[0]), add_form(parts[:i] + parts[i + 1:], form)
     if in_left_target(Game(child)):
         return rule_id, move, child
-    for j, other in enumerate(parts):
-        rest = parts[:j] + parts[j + 1:]
-        for other_form, moves in part_successors(other, BLACK).items():
-            reached = add_form(rest, other_form)
-            if in_left_target(Game(reached)):
-                return rule_id + "-fallback", (j, *moves[0]), reached
+    for j, (f, t), reached in normalized_children(parts, BLACK):
+        if in_left_target(Game(reached)):
+            return rule_id + "-fallback", (j, f, t), reached
     return rule_id, move, child
 
 
@@ -127,15 +127,18 @@ def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     return StrategyMove(rule_id, Move(*move), Game(child))
 
 
-# Rows stated for one whole game; they take precedence over the rule order.
-_WHOLE_GAME_ROWS: dict[Parts, Row] = {
-    _form("a8", "a2"): ("1a", _part("a8"), _form("xxo", "a4")),
-    _form("a10", "a4"): ("1b", _part("a10"), _form("o5", "xx4")),
-    _form("a18", "a4", "a2"): ("1c", _part("a18"), _form("a14", "xxo")),
-    _form("o5", "oox"): ("3a", _part("o5"), _form("xxo")),
-    _form("oo10", "a2"): ("4a", _part("oo10"), _form("o7", "a2")),
-    _form("oo12", "a4"): ("4b", _part("oo12"), _form("oo8", "xxo")),
+# Rows stated for one whole game, in shorthand: the game's tokens, then the
+# row's rule id, part and tokens.  They take precedence over the rule order.
+_WHOLE_GAME_TOKENS = {
+    ("a8", "a2"): ("1a", "a8", ("xxo", "a4")),
+    ("a10", "a4"): ("1b", "a10", ("o5", "xx4")),
+    ("a18", "a4", "a2"): ("1c", "a18", ("a14", "xxo")),
+    ("o5", "oox"): ("3a", "o5", ("xxo",)),
+    ("oo10", "a2"): ("4a", "oo10", ("o7", "a2")),
+    ("oo12", "a4"): ("4b", "oo12", ("oo8", "xxo")),
 }
+_WHOLE_GAME_ROWS: dict[Parts, Row] = {_form(*game): (r, _part(p), _form(*t))
+                                      for game, (r, p, t) in _WHOLE_GAME_TOKENS.items()}
 
 # Every other rule, in precedence order: the first row that applies fixes
 # Left's move.  A fixed row (rule id, parts g must hold, part, tokens)
@@ -150,43 +153,47 @@ _WHOLE_GAME_ROWS: dict[Parts, Row] = {
 #   smallest oO' part;
 # - 6a comes first, so 6b/6c/6d each pick the largest O' part below 13
 #   stones.
-# Fixed rows hold canonical parts, their needs as (part, copies) pairs and
-# the form of their tokens.
-_RULE_ROWS = tuple(
-    (row[0], tuple(Counter(map(_part, row[1])).items()), _part(row[2]),
-     _form(*row[3]))
-    if len(row) == 4 else row
-    for row in (
-        ("1d", "Aprime", 8, "o", -3),
-        ("2", "oAprime", 7, "oo", -3),
-        ("3b", ("o5", "a4", "a2", "oox"), "oox", ("a2",)),
-        ("3c", ("a4", "oox"), "a4", ("xxo",)),
-        ("3d", ("oox",), "oox", ("a2",)),
-        ("3e", "oOoprime", 9, "oo", -5),
-        ("4c", ("oo10",), "oo10", ("o5",)),
-        ("4d", ("oo12",), "oo12", ("o7",)),
-        ("4e", ("oo14",), "oo14", ("o11", "a2")),
-        ("4f", ("oo16",), "oo16", ("o11",)),
-        ("4g", ("oo18",), "oo18", ("o13",)),
-        ("4h", ("oo20",), "oo20", ("o17", "a2")),
-        ("4i", "oOprime", 22, "o", -5),
-        ("5a", ("oo6", "oo6", "a4"), "oo6", ("xxo",)),
-        ("5b", ("oo6", "oo6", "a2"), "oo6", ("xxo",)),
-        ("5c", ("oo6", "oo6"), "oo6", ("ooxo",)),
-        ("5d", ("oo6", "a4", "a2"), "oo6", ("xxo",)),
-        ("5e", ("oo6", "a4"), "oo6", ("ooxo",)),
-        ("5f", ("oo6", "a2"), "oo6", ("ooxo",)),
-        ("5g", ("a4", "a2"), "a4", ("a2",)),
-        ("5h", ("oo6",), "oo6", ("xxo",)),
-        ("5i", ("a4",), "a4", ("xxo",)),
-        ("5j", ("a2",), "a2", ()),
-        ("6a", "Oprime", 13, "o", -2),
-        ("6b", ("o11",), "o11", ("o7", "xxo")),
-        ("6c", ("o7",), "o7", ("o5",)),
-        ("6d", ("o5",), "o5", ("xxo",)),
-        ("7a", ("oo8",), "oo8", ("ooxo", "xxo")),
-        ("7b", ("xxo",), "xxo", ()),
-    ))
+_RULE_TOKENS = (
+    ("1d", "Aprime", 8, "o", -3),
+    ("2", "oAprime", 7, "oo", -3),
+    ("3b", ("o5", "a4", "a2", "oox"), "oox", ("a2",)),
+    ("3c", ("a4", "oox"), "a4", ("xxo",)),
+    ("3d", ("oox",), "oox", ("a2",)),
+    ("3e", "oOoprime", 9, "oo", -5),
+    ("4c", ("oo10",), "oo10", ("o5",)),
+    ("4d", ("oo12",), "oo12", ("o7",)),
+    ("4e", ("oo14",), "oo14", ("o11", "a2")),
+    ("4f", ("oo16",), "oo16", ("o11",)),
+    ("4g", ("oo18",), "oo18", ("o13",)),
+    ("4h", ("oo20",), "oo20", ("o17", "a2")),
+    ("4i", "oOprime", 22, "o", -5),
+    ("5a", ("oo6", "oo6", "a4"), "oo6", ("xxo",)),
+    ("5b", ("oo6", "oo6", "a2"), "oo6", ("xxo",)),
+    ("5c", ("oo6", "oo6"), "oo6", ("ooxo",)),
+    ("5d", ("oo6", "a4", "a2"), "oo6", ("xxo",)),
+    ("5e", ("oo6", "a4"), "oo6", ("ooxo",)),
+    ("5f", ("oo6", "a2"), "oo6", ("ooxo",)),
+    ("5g", ("a4", "a2"), "a4", ("a2",)),
+    ("5h", ("oo6",), "oo6", ("xxo",)),
+    ("5i", ("a4",), "a4", ("xxo",)),
+    ("5j", ("a2",), "a2", ()),
+    ("6a", "Oprime", 13, "o", -2),
+    ("6b", ("o11",), "o11", ("o7", "xxo")),
+    ("6c", ("o7",), "o7", ("o5",)),
+    ("6d", ("o5",), "o5", ("xxo",)),
+    ("7a", ("oo8",), "oo8", ("ooxo", "xxo")),
+    ("7b", ("xxo",), "xxo", ()),
+)
+
+
+def _resolve(rows: tuple) -> tuple:
+    """Each fixed row with canonical parts, its needs as (part, copies) pairs
+    and the form of its tokens; class rows as they are."""
+    return tuple((r[0], tuple(Counter(map(_part, r[1])).items()), _part(r[2]),
+                  _form(*r[3])) if len(r) == 4 else r for r in rows)
+
+
+_RULE_ROWS = _resolve(_RULE_TOKENS)
 
 
 @lru_cache(maxsize=None)
@@ -241,9 +248,9 @@ def table_rows(max_stones: int = 30) -> list[Row]:
     cases += [_rule_row((p,)) for p in k_parts(max_stones)]
     for a in range(4, max_stones + 1, 2):
         for oo in range(4, a, 2):
-            row = _spiral_row((_part(f"a{a}"), _part(f"oo{oo}")))
+            row = _spiral_tokens((_part(f"a{a}"), _part(f"oo{oo}")))
             if row is not None:
-                cases.append(row)
+                cases.append((*row[:2], _form(*row[2])))
     return cases
 
 

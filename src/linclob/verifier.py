@@ -114,7 +114,7 @@ def _search(roots: list[Parts], ruleset: Ruleset) -> tuple[int, Counter, Counter
             # the oracle certifies each LL game a Left win with either
             # player to move, so the pass stops there
             if not in_LL(Game(parts)):
-                for child in normalized_children(parts, WHITE):
+                for _, _, child in normalized_children(parts, WHITE):
                     reach(0, child, mask)
     return lost, *counts
 

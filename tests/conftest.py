@@ -21,14 +21,15 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def rule_rows():
-    """Left's rule table for one test: `rule_rows(rows)` puts `rows` in place
-    of `_RULE_ROWS`.  The rows that can fire on a part are cached from the
+    """Left's rule table for one test: `rule_rows(rows)` puts the shorthand
+    `rows` in place of `_RULE_TOKENS` and their resolution in place of
+    `_RULE_ROWS`.  The rows that can fire on a part are cached from the
     table, so the cache is cleared at setup, at each change and at teardown,
     which restores the table and checks that a8 picks 1d again."""
-    table = strategy._RULE_ROWS
+    table = strategy._RULE_TOKENS
 
     def use(rows):
-        strategy._RULE_ROWS = rows
+        strategy._RULE_TOKENS, strategy._RULE_ROWS = rows, strategy._resolve(rows)
         strategy._part_rows.cache_clear()
     use(table)
     yield use
@@ -40,5 +41,5 @@ def rule_rows():
 def drop_rule_row(rule_rows):
     """Left's rule table without one row: `drop_rule_row("1d")` removes row
     1d, and `drop_rule_row(None)` removes none."""
-    table = strategy._RULE_ROWS
+    table = strategy._RULE_TOKENS
     return lambda rule_id: rule_rows(tuple(row for row in table if row[0] != rule_id))

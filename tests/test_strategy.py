@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -12,7 +13,7 @@ from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
     choose_left_move, require_scope, table_rows,
 )
-from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target
+from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target, k_parts
 from linclob.verifier import verify_range
 
 
@@ -30,11 +31,21 @@ def pick(text: str, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
     return choose_left_move(norm(text), ruleset)
 
 
+@lru_cache(maxsize=None)
+def literal_part(token: str) -> str:
+    return canonical(expand_shorthand(token))
+
+
+@lru_cache(maxsize=None)
+def literal_form(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """The standard form of the shorthand `tokens` by the literal rewriter."""
+    return literal(Game.of(expand_shorthand(t) for t in tokens)).parts
+
+
 def literal_row(rule_id: str, token: str, *tokens: str) -> tuple[str, str, tuple]:
     """A row (rule id, part, form) from shorthand, its form by the literal
     rewriter."""
-    form = literal(Game.of(expand_shorthand(t) for t in tokens)).parts
-    return rule_id, canonical(expand_shorthand(token)), form
+    return rule_id, literal_part(token), literal_form(tokens)
 
 
 def test_whole_game_exceptions():
@@ -209,15 +220,27 @@ def test_rule_rows_are_unambiguous():
 
 
 def test_row_clobbers_match_a_literal_filter():
-    # every row of table_rows(30): whole-game, fixed, lone-K-part
-    # and spiral rows; each form is a fixpoint of the literal rewriter, and
-    # its entry in the part's table holds the Left clobbers whose pieces
-    # literally normalize to it
+    # table_rows(30) is the whole-game, fixed, lone-K-part and spiral rows,
+    # each form that of the row's shorthand tokens by the literal rewriter;
+    # each form's entry in the part's table holds the Left clobbers whose
+    # pieces literally normalize to it
+    whole = strategy._WHOLE_GAME_TOKENS
+    assert list(strategy._WHOLE_GAME_ROWS) == [literal_form(game) for game in whole]
+    want = [literal_row(r, p, *t) for r, p, t in whole.values()]
+    want += [literal_row(r[0], r[2], *r[3])
+             for r in strategy._RULE_TOKENS if len(r) == 4]
+    want += [literal_rule_row(Game((p,))) for p in k_parts(30)]
+    for a in range(4, 31, 2):
+        for oo in range(4, a, 2):
+            row = strategy._spiral_tokens(
+                (literal_part(f"a{a}"), literal_part(f"oo{oo}")))
+            if row is not None:
+                want.append(literal_row(*row[:2], *row[2]))
     rows = table_rows(30)
+    assert rows == want
     kinds = {rule_id for rule_id, _, _ in rows}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
     for rule_id, part, form in rows:
-        assert literal(Game(form)).parts == form, (rule_id, part, form)
         hits = tuple(c for c, pieces in clobbers(part).items()
                      if part[c[0] - 1] == BLACK
                      and literal(Game(pieces)).parts == form)
@@ -241,26 +264,27 @@ def _whole_game_search(g: Game, rule_id: str, part: str,
 
 
 def literal_rule_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
-    """The row of the first applicable rule by the literal scan: the
-    whole-game rows, then every row of `_RULE_ROWS` in order, a class row's
-    form by the literal rewriter; the reference for the per-part lookup of
-    `strategy._rule_row`."""
-    row = strategy._WHOLE_GAME_ROWS.get(g.parts)
-    if row is not None:
-        return row
+    """The row of the first applicable rule by the literal scan of the
+    shorthand tables: the whole-game rows, then every row of `_RULE_TOKENS`
+    in order, each form by the literal rewriter; the reference for the
+    per-part lookup of `strategy._rule_row`."""
+    for game, (rule_id, part, tokens) in strategy._WHOLE_GAME_TOKENS.items():
+        if literal_form(game) == g.parts:
+            return literal_row(rule_id, part, *tokens)
     have = Counter(g.parts)
-    for row in strategy._RULE_ROWS:
+    for row in strategy._RULE_TOKENS:
         if len(row) == 4:
-            rule_id, needs, part, form = row
-            if part in have and all(have[p] >= n for p, n in needs):
-                return rule_id, part, form
+            rule_id, needs, part, tokens = row
+            needs = Counter(map(literal_part, needs))
+            if (literal_part(part) in have
+                    and all(have[p] >= n for p, n in needs.items())):
+                return literal_row(rule_id, part, *tokens)
         else:
             rule_id, flag, least, head, shift = row
             fits = [p for p in have if len(p) >= least and flag in classify_part(p)]
             if fits:
                 p = min(fits, key=lambda q: (len(q), q))
-                token = expand_shorthand(f"{head}{len(p) + shift}")
-                return rule_id, p, literal(Game.of([token])).parts
+                return rule_id, p, literal_form((f"{head}{len(p) + shift}",))
     raise StrategyGap(f"no rule matches {g}")
 
 
@@ -289,8 +313,9 @@ def test_row_lookup_matches_the_literal_scan(monkeypatch):
 
 
 def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
-    spiral = strategy._spiral_row(g.parts) if ruleset is Ruleset.IMPROVED else None
-    chosen = _whole_game_search(g, *(spiral or literal_rule_row(g)))
+    spiral = strategy._spiral_tokens(g.parts) if ruleset is Ruleset.IMPROVED else None
+    row = literal_row(*spiral[:2], *spiral[2]) if spiral else literal_rule_row(g)
+    chosen = _whole_game_search(g, *row)
     assert chosen is not None, g
     if in_left_target(chosen.result):
         return chosen
@@ -313,8 +338,7 @@ def test_fallback_moves_match_the_whole_game_search(rule_rows):
     # with 5j's a2 -> 0 planted first, a game holding a2 often leaves the
     # target, and the fallback's move is on a later part or the first of
     # several clobbers that leave one form
-    rule_id, part, form = literal_row("planted", "a2")
-    rule_rows(((rule_id, (), part, form),) + strategy._RULE_ROWS)
+    rule_rows((("planted", ("a2",), "a2", ()),) + strategy._RULE_TOKENS)
     games = list(enumerate_s_games(24, 4))
     moves = [choose_left_move(g) for g in games]
     fallbacks = [sm.move for sm in moves if sm.rule_id == "planted-fallback"]
@@ -339,10 +363,10 @@ def test_ambiguous_row_is_reported():
 
 def test_row_no_move_realizes_is_a_gap(rule_rows, capsys):
     # a planted first row sends a8 to o7, which no Left move on a8 leaves
-    rule_id, part, form = literal_row("planted", "a8", "o7")
+    _, part, form = literal_row("planted", "a8", "o7")
     assert all(literal(Game(pieces)).parts != form
                for c, pieces in clobbers(part).items() if part[c[0] - 1] == BLACK)
-    rule_rows(((rule_id, (), part, form),) + strategy._RULE_ROWS)
+    rule_rows((("planted", ("a8",), "a8", ("o7",)),) + strategy._RULE_TOKENS)
     message = "rule planted: no Left move on a8 reaches o7"
     with pytest.raises(StrategyGap) as gap:
         choose_left_move(norm("a8"))
