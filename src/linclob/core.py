@@ -237,14 +237,22 @@ def expand_shorthand(token: str, max_stones: int | None = None) -> str:
     return s[::-1] if reverse else s
 
 
-def part_token(part: str) -> str:
-    """Shortest notation for a part: a shorthand token or the raw string."""
+@lru_cache(maxsize=None)
+def shape(part: str) -> tuple[str | None, str]:
+    """The family that holds `part` in either orientation (None if none does)
+    and the part's shortest notation; a reversed member takes its family's
+    last token form (``xx{k}oo`` for oAx)."""
     for name, (forms, _, _) in SHAPE_FAMILIES.items():
         s = shape_string(name, len(part))
         if s is not None and part in (s, s[::-1]):
             token = (forms[0] if part == s else forms[-1]).format(len(part))
-            return min(part, token, key=len)
-    return part
+            return name, min(part, token, key=len)
+    return None, part
+
+
+def part_token(part: str) -> str:
+    """Shortest notation for a part: a shorthand token or the raw string."""
+    return shape(part)[1]
 
 
 def parse_position(text: str, max_stones: int | None = None) -> Game:

@@ -240,13 +240,13 @@ def _rule_row(parts: Parts) -> Row:
     return best[1]
 
 
-def table_rows(max_stones: int = 30) -> list[Row]:
-    """The whole-game and fixed rows, the row chosen on each lone K part and
-    the spiral rows on a-parts of at most `max_stones` stones."""
+def table_rows() -> list[Row]:
+    """The whole-game and fixed rows, and the row chosen on each lone K part
+    and the spiral rows on a-parts of at most 30 stones."""
     cases = list(_WHOLE_GAME_ROWS.values())
     cases += [(r[0], r[2], r[3]) for r in _RULE_ROWS if len(r) == 4]
-    cases += [_rule_row((p,)) for p in k_parts(max_stones)]
-    for a in range(4, max_stones + 1, 2):
+    cases += [_rule_row((p,)) for p in k_parts(30)]
+    for a in range(4, 31, 2):
         for oo in range(4, a, 2):
             row = _spiral_tokens((_part(f"a{a}"), _part(f"oo{oo}")))
             if row is not None:

@@ -5,7 +5,8 @@ Shape families (either orientation; a "run" alternates and begins with o):
   A    even alternating            O    odd alternating, o at both ends
   oA   o + even run               oO    o + odd run
   oOo  o + odd run + o            oAx   o + even run + x
-plus their color-flips X, Ax, xX, xXx; `core.SHAPE_FAMILIES` is the table.
+plus their color-flips X, Ax, xX, xXx; `core.SHAPE_FAMILIES` is the table,
+and `core.shape` the one lookup of the family that holds a part.
 
 The eight count-vector classes are the specific members that survive
 standard-form reduction: O', oO', oOo', I, {xxo}, {oo8}, A', oA'.
@@ -17,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-from .core import SHAPE_FAMILIES, Game, canonical, parse_position, shape_string
+from .core import SHAPE_FAMILIES, Game, canonical, parse_position, shape, shape_string
 from .asf import normalize
 
 
@@ -38,14 +39,13 @@ class SClass(Enum):
 
 def in_shape(part: str, name: str) -> bool:
     """Shape membership, insensitive to orientation."""
-    s = shape_string(name, len(part))
-    return s is not None and (part == s or part[::-1] == s)
+    return shape(part)[0] == name
 
 
 @lru_cache(maxsize=None)
 def classify_part(part: str) -> frozenset[str]:
     """All shape and count-vector class flags that apply to a part."""
-    flags = {name for name in SHAPE_FAMILIES if in_shape(part, name)}
+    flags = {shape(part)[0]} - {None}
     k = len(part)
     if "A" in flags and k not in (2, 4, 6, 12):
         flags.add("Aprime")
@@ -69,7 +69,7 @@ def classify_part(part: str) -> frozenset[str]:
 
 def in_U(part: str) -> bool:
     """Part arises in play from some even alternating start."""
-    return any(in_shape(part, name) for name in SHAPE_FAMILIES)
+    return shape(part)[0] is not None
 
 
 def u_parts(max_stones: int) -> list[str]:

@@ -20,17 +20,18 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .core import BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip
+from .core import (
+    BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip, is_monochromatic,
+)
 from .asf import (
-    add_form, normalize, normalized_children, part_successors, potential, rule_table,
+    Parts, add_form, normalize, normalized_children, part_successors, potential,
+    rule_table,
 )
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
 from .strategy import Ruleset, StrategyGap, choose_left_move, left_child, require_scope
 from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
-
-Parts = tuple[str, ...]
 
 # The cap on a position's stones.  Only the oracle recurses: it takes one
 # frame per ply and each ply captures a stone, so n stones need n frames plus
@@ -235,7 +236,7 @@ def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremRepo
                 for pieces2 in clobbers(piece).values():
                     reachable.update(pieces2)
     for u in u_parts(reach_stones):
-        if len(set(u)) < 2:
+        if is_monochromatic(u):
             continue  # trivial parts allow no move and are outside the claim
         report.instances_checked += 1
         if u not in reachable:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import doctest
 import inspect
 import re
 import time
@@ -426,3 +427,13 @@ def test_readme_lists_every_verb_suite_and_flag():
         assert len(lines) == 1, words
         named = re.findall(r"--[\w-]+", " ".join(lines[0]))
         assert set(_flags(parser)) <= set(named), words
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library",
+                                               "README.md", 0)
+    results = doctest.DocTestRunner().run(test)
+    assert results.failed == 0 and results.attempted == len(test.examples) > 0

@@ -224,6 +224,9 @@ def test_part_token_prefers_shortest():
     assert part_token("ox") == "ox"
     assert part_token("ooxoxo") == "oo6"
     assert part_token("oxx") == "oxx"
+    # an oAx member is written from the end it starts with
+    assert part_token("ooxoxx") == "oo6xx"
+    assert part_token("xxoxoo") == "xx6oo"
 
 
 def test_alternating_and_monochromatic():

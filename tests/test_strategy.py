@@ -216,11 +216,11 @@ def test_improved_override_spiral():
 
 def test_rule_rows_are_unambiguous():
     # whole-game, fixed, lone-K-part and spiral rows
-    assert ambiguous_rows(table_rows(30)) == []
+    assert ambiguous_rows(table_rows()) == []
 
 
 def test_row_clobbers_match_a_literal_filter():
-    # table_rows(30) is the whole-game, fixed, lone-K-part and spiral rows,
+    # table_rows() is the whole-game, fixed, lone-K-part and spiral rows,
     # each form that of the row's shorthand tokens by the literal rewriter;
     # each form's entry in the part's table holds the Left clobbers whose
     # pieces literally normalize to it
@@ -236,7 +236,7 @@ def test_row_clobbers_match_a_literal_filter():
                 (literal_part(f"a{a}"), literal_part(f"oo{oo}")))
             if row is not None:
                 want.append(literal_row(*row[:2], *row[2]))
-    rows = table_rows(30)
+    rows = table_rows()
     assert rows == want
     kinds = {rule_id for rule_id, _, _ in rows}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds

@@ -4,7 +4,7 @@ import pytest
 
 from linclob.core import (
     SHAPE_FAMILIES, Game, canonical, expand_shorthand, flip, parse_position,
-    part_token,
+    part_token, shape,
 )
 from linclob.asf import normalize
 from linclob.taxonomy import (
@@ -61,17 +61,24 @@ def test_shape_table_matches_the_prose_definitions():
             s = "".join(cells)
             if len(set(s)) < 2:
                 continue
+            named = [name for name in SHAPE_FAMILIES
+                     if _literal_shape(s, name) or _literal_shape(s[::-1], name)]
             for name in SHAPE_FAMILIES:
-                expected = _literal_shape(s, name) or _literal_shape(s[::-1], name)
-                assert in_shape(s, name) == expected, (s, name)
-            # part_token takes the first family that holds a part
-            assert sum(in_shape(s, name) for name in SHAPE_FAMILIES) <= 1, s
+                assert in_shape(s, name) == (name in named), (s, name)
+            # the families are disjoint, so shape names the one that holds s
+            assert len(named) <= 1, s
+            assert shape(s)[0] == (named[0] if named else None), s
 
 
 def test_part_token_expands_back_to_the_part():
     for p in u_parts(40):
         if len(set(p)) == 2:
             assert expand_shorthand(part_token(p)) in (p, p[::-1]), p
+    # both orientations of every U string of 2-12 stones
+    strings = {s for p in u_parts(12) if len(p) >= 2 for s in (p, p[::-1])}
+    assert len(strings) == 80
+    for s in strings:
+        assert expand_shorthand(part_token(s)) in (s, s[::-1]), s
 
 
 def test_primed_class_flags():
