@@ -46,38 +46,30 @@ class RewriteRule:
     rhs: tuple[str, ...]
 
 
-def _rule(name: str, lhs: list[str], rhs: list[str]) -> RewriteRule:
-    return RewriteRule(name, frozenset(canonical(p) for p in lhs),
-                       tuple(canonical(p) for p in rhs))
-
-
-def _negative(rule: RewriteRule) -> RewriteRule:
-    assert rule.lhs is not None
-    return RewriteRule(
-        "-" + rule.name,
-        frozenset(canonical(flip(p)) for p in rule.lhs),
-        tuple(canonical(flip(p)) for p in rule.rhs),
-    )
-
-
-_BETA = RewriteRule("beta", None, ())
-
-_POSITIVE = {
-    "alpha": _rule("alpha", ["o", "oo", "ooo", "ooxx", "oxoxox"], []),
-    "gamma": _rule("gamma", ["oxo", "ooxox", "ooxoxoo", "xxoxoxx"], ["ox"]),
-    "delta": _rule("delta", ["oxoxoxoxo"], ["ooxo"]),
-    "epsilon": _rule("epsilon", ["ooxoxx", "oxoxoxoxoxox"], ["oxox", "ox"]),
-    "zeta": _rule("zeta", ["ooxoo"], ["oox"]),
-    "eta": _rule("eta", ["ooxo"], ["xxo", "ox"]),
-}
+# The rules in preference order: (name, left sides, right side); beta, the
+# pair cancel, has no left side.
+_REWRITES = (
+    ("alpha", ("o", "oo", "ooo", "ooxx", "oxoxox"), ()),
+    ("beta", None, ()),
+    ("gamma", ("oxo", "ooxox", "ooxoxoo", "xxoxoxx"), ("ox",)),
+    ("delta", ("oxoxoxoxo",), ("ooxo",)),
+    ("epsilon", ("ooxoxx", "oxoxoxoxoxox"), ("oxox", "ox")),
+    ("zeta", ("ooxoo",), ("oox",)),
+    ("eta", ("ooxo",), ("xxo", "ox")),
+)
 
 
 def rule_table() -> list[RewriteRule]:
-    """All rules in preference order: alpha, -alpha, beta, gamma, ..., eta, -eta."""
-    rules = [_POSITIVE["alpha"], _negative(_POSITIVE["alpha"]), _BETA]
-    for name in ("gamma", "delta", "epsilon", "zeta", "eta"):
-        rules.append(_POSITIVE[name])
-        rules.append(_negative(_POSITIVE[name]))
+    """Each rule of `_REWRITES` in order, and after each but beta its negative."""
+    rules = []
+    for name, lhs, rhs in _REWRITES:
+        if lhs is None:
+            rules.append(RewriteRule(name, None, rhs))
+            continue
+        for prefix, turn in (("", str), ("-", flip)):
+            rules.append(RewriteRule(prefix + name,
+                                     frozenset(canonical(turn(p)) for p in lhs),
+                                     tuple(canonical(turn(p)) for p in rhs)))
     return rules
 
 

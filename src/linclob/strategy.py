@@ -6,9 +6,9 @@ once in shorthand: `_WHOLE_GAME_TOKENS` holds the rows stated for one whole
 game, looked up first, `_RULE_TOKENS` every other rule in precedence order,
 so the first row that applies fixes the move, and `_spiral_tokens` the
 improved ruleset's row.  Tokens are resolved to their standard form once
-(`_form`): into `_WHOLE_GAME_ROWS` and `_RULE_ROWS` at import, for class
-rows in the rows that can fire on a part (`_part_rows`).  Choosing a row
-normalizes nothing.
+(`_form`): the whole-game rows into `_WHOLE_GAME_ROWS` at import, every
+other row into the rows that can fire on a part (`_part_rows`) when that
+part is first seen.  Choosing a row normalizes nothing.
 Left plays the first clobber of the form's entry in the part's Left move
 table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
@@ -71,6 +71,7 @@ def _form(*tokens: str) -> Parts:
     return normalize(Game.of(expand_shorthand(t) for t in tokens)).parts
 
 
+@lru_cache(maxsize=None)
 def _part(token: str) -> str:
     return canonical(expand_shorthand(token))
 
@@ -186,33 +187,28 @@ _RULE_TOKENS = (
 )
 
 
-def _resolve(rows: tuple) -> tuple:
-    """Each fixed row with canonical parts, its needs as (part, copies) pairs
-    and the form of its tokens; class rows as they are."""
-    return tuple((r[0], tuple(Counter(map(_part, r[1])).items()), _part(r[2]),
-                  _form(*r[3])) if len(r) == 4 else r for r in rows)
-
-
-_RULE_ROWS = _resolve(_RULE_TOKENS)
-
-
 @lru_cache(maxsize=None)
 def _part_rows(part: str) -> tuple[tuple[tuple[int, int, str], Row, tuple], ...]:
-    """The rows of `_RULE_ROWS` that can fire on `part`, in order, as (key,
-    row, needs): a fixed row on its part, a class row on a part of its class
-    with `least` stones or more.  The key is (row index, length, part)."""
+    """The rows of `_RULE_TOKENS` that can fire on `part`, in order, as (key,
+    row, needs): a fixed row on its part, with its needs as (part, copies)
+    pairs, a class row on a part of its class with `least` stones or more.
+    The key is (row index, length, part)."""
     rows = []
-    for i, row in enumerate(_RULE_ROWS):
+    for i, row in enumerate(_RULE_TOKENS):
         if len(row) == 4:
-            rule_id, needs, on, form = row
-            if on == part:  # one copy of `part` is then present
-                needs = tuple(need for need in needs if need != (part, 1))
-                rows.append(((i, len(part), part), (rule_id, part, form), needs))
+            rule_id, needs, on, tokens = row
+            if _part(on) != part:
+                continue
+            # one copy of `part` is then present
+            needs = tuple(need for need in Counter(map(_part, needs)).items()
+                          if need != (part, 1))
+            form = _form(*tokens)
         else:
             rule_id, flag, least, head, shift = row
-            if len(part) >= least and flag in classify_part(part):
-                form = _form(f"{head}{len(part) + shift}")
-                rows.append(((i, len(part), part), (rule_id, part, form), ()))
+            if len(part) < least or flag not in classify_part(part):
+                continue
+            needs, form = (), _form(f"{head}{len(part) + shift}")
+        rows.append(((i, len(part), part), (rule_id, part, form), needs))
     return tuple(rows)
 
 
@@ -244,7 +240,7 @@ def table_rows() -> list[Row]:
     """The whole-game and fixed rows, and the row chosen on each lone K part
     and the spiral rows on a-parts of at most 30 stones."""
     cases = list(_WHOLE_GAME_ROWS.values())
-    cases += [(r[0], r[2], r[3]) for r in _RULE_ROWS if len(r) == 4]
+    cases += [(r[0], _part(r[2]), _form(*r[3])) for r in _RULE_TOKENS if len(r) == 4]
     cases += [_rule_row((p,)) for p in k_parts(30)]
     for a in range(4, 31, 2):
         for oo in range(4, a, 2):

@@ -9,7 +9,8 @@ plus their color-flips X, Ax, xX, xXx; `core.SHAPE_FAMILIES` is the table,
 and `core.shape` the one lookup of the family that holds a part.
 
 The eight count-vector classes are the specific members that survive
-standard-form reduction: O', oO', oOo', I, {xxo}, {oo8}, A', oA'.
+standard-form reduction: O', oO', oOo', I, {xxo}, {oo8}, A', oA'; the
+table `_CLASSES` states each with its test on a part's family and size.
 """
 
 from __future__ import annotations
@@ -42,29 +43,35 @@ def in_shape(part: str, name: str) -> bool:
     return shape(part)[0] == name
 
 
+# The eight count-vector classes in slot order (a, b, c, d, e, f, y, z):
+# each class flag and its test on a part's shape family and stone count.
+# No part passes two tests.
+_CLASSES = (
+    ("Oprime", lambda f, k: f == "O" and k >= 5 and k != 9),
+    ("oOprime", lambda f, k: f == "oO" and k >= 10),
+    # oo3 (= oox) is the 3-stone member of the oOo-primed class.
+    ("oOoprime", lambda f, k: (f == "oA" and k == 3) or (f == "oOo" and k >= 9)),
+    ("I", lambda f, k: (f == "A" and k in (2, 4)) or (f == "oO" and k == 6)),
+    ("XXO", lambda f, k: f == "Ax" and k == 3),
+    ("OO8", lambda f, k: f == "oO" and k == 8),
+    ("Aprime", lambda f, k: f == "A" and k not in (2, 4, 6, 12)),
+    ("oAprime", lambda f, k: f == "oA" and k >= 7),
+)
+
+
+@lru_cache(maxsize=None)
+def part_slot(part: str) -> int | None:
+    """Index in `_CLASSES` of the part's count-vector class, or None."""
+    family, k = shape(part)[0], len(part)
+    return next((i for i, (_, test) in enumerate(_CLASSES) if test(family, k)), None)
+
+
 @lru_cache(maxsize=None)
 def classify_part(part: str) -> frozenset[str]:
-    """All shape and count-vector class flags that apply to a part."""
-    flags = {shape(part)[0]} - {None}
-    k = len(part)
-    if "A" in flags and k not in (2, 4, 6, 12):
-        flags.add("Aprime")
-    if "O" in flags and k >= 5 and k != 9:
-        flags.add("Oprime")
-    if "oO" in flags and k >= 10:
-        flags.add("oOprime")
-    if "oA" in flags and k >= 7:
-        flags.add("oAprime")
-    # oo3 (= oox) is the 3-stone member of the oOo-primed class.
-    if ("oA" in flags and k == 3) or ("oOo" in flags and k >= 9):
-        flags.add("oOoprime")
-    if ("A" in flags and k in (2, 4)) or ("oO" in flags and k == 6):
-        flags.add("I")
-    if "Ax" in flags and k == 3:
-        flags.add("XXO")
-    if "oO" in flags and k == 8:
-        flags.add("OO8")
-    return frozenset(flags)
+    """The part's shape family and its count-vector class flag, if any."""
+    slot = part_slot(part)
+    flags = {shape(part)[0], None if slot is None else _CLASSES[slot][0]}
+    return frozenset(flags - {None})
 
 
 def in_U(part: str) -> bool:
@@ -78,20 +85,6 @@ def u_parts(max_stones: int) -> list[str]:
     parts = {canonical(s) for k in range(1, max_stones + 1)
              for name in SHAPE_FAMILIES if (s := shape_string(name, k)) is not None}
     return sorted(parts, key=lambda p: (len(p), p))
-
-
-# Count-vector slot order: (a, b, c, d, e, f, y, z).
-_SLOT_FLAGS = ("Oprime", "oOprime", "oOoprime", "I", "XXO", "OO8", "Aprime", "oAprime")
-
-
-@lru_cache(maxsize=None)
-def part_slot(part: str) -> int | None:
-    """Index of the part's count-vector class, or None."""
-    flags = classify_part(part)
-    for i, flag in enumerate(_SLOT_FLAGS):
-        if flag in flags:
-            return i
-    return None
 
 
 def in_K(part: str) -> bool:

@@ -97,6 +97,10 @@ def test_long_tokens_are_echoed_short(capsys):
 def test_parse_error_exit_code(capsys):
     assert run(["solve", "oq"]) == 2
     assert run(["normalize", "a4 ++ a2"]) == 2
+    capsys.readouterr()
+    for blank in ("", "   "):
+        assert run(["solve", blank]) == 2
+        assert capsys.readouterr() == ("", "error: empty position\n")
 
 
 def test_usage_error_exit_code():

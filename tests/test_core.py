@@ -217,6 +217,8 @@ def test_short_format_parse_round_trip():
 def test_format_empty_game():
     assert format_game(Game(()), "short") == "0"
     assert format_game(Game(()), "stones") == "-"
+    with pytest.raises(ValueError, match="unknown format style 'bogus'"):
+        format_game(Game(()), "bogus")
 
 
 def test_part_token_prefers_shortest():

@@ -35,3 +35,37 @@ def test_an_unused_import_is_found():
               "from typing import Iterable, Mapping as M\n"
               "x: Iterable = os.path.sep\n")
     assert unused_imports(source) == ["M (line 3)"]
+
+
+# The literal rewriter is the reference that `asf.normalize` is tested
+# against, so it may not read the fast path's names.
+_REFERENCE = ("rule_table", "_beta_match", "apply_once", "normalize_trace")
+_FAST_PATH = {"negative", "add_form", "_part_form"}
+
+
+def fast_path_reads(source: str) -> list[str]:
+    """Each `function: name` where a reference function of the module names
+    one of the fast path's functions."""
+    tree = ast.parse(source)
+    return [f"{node.name}: {name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in _REFERENCE
+            for sub in ast.walk(node)
+            if (name := getattr(sub, "id", None) or getattr(sub, "attr", None))
+            in _FAST_PATH]
+
+
+def test_the_literal_rewriter_reads_no_fast_path():
+    source = (Path(linclob.__file__).parent / "asf.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(_REFERENCE) <= defined
+    assert fast_path_reads(source) == []
+
+
+def test_a_reference_that_reads_the_fast_path_is_found():
+    source = ("def apply_once(g):\n"
+              "    return add_form((), core.negative(g))\n"
+              "def normalize(g):\n"
+              "    return _part_form(g)\n")
+    assert fast_path_reads(source) == ["apply_once: add_form",
+                                       "apply_once: negative"]

@@ -32,5 +32,5 @@ def test_every_probe_target_exists():
 
 def test_every_rule_id_has_a_traced_count():
     table = {row[0] for row in strategy._WHOLE_GAME_ROWS.values()}
-    table |= {row[0] for row in strategy._RULE_ROWS}
+    table |= {row[0] for row in strategy._RULE_TOKENS}
     assert table | {"spiral"} == set(_probes().RULE_IDS)

@@ -10,7 +10,7 @@ from linclob.asf import normalize
 from linclob.taxonomy import (
     NotInK, SClass, classify_part, count_vector, enumerate_s_games, in_K,
     in_LL, in_Q, in_S0, in_U, in_left_target, in_shape, k_parts, part_slot,
-    s_class, u_parts, _multisets,
+    s_class, u_parts, _CLASSES, _multisets,
 )
 
 
@@ -110,11 +110,16 @@ def test_excluded_parts_reduce_out_of_their_shape():
 
 
 def test_k_slots_are_disjoint_and_exclusive():
-    for p in k_parts(18):
-        flags = classify_part(p)
-        slots = [f for f in ("Oprime", "oOprime", "oOoprime", "I", "XXO",
-                             "OO8", "Aprime", "oAprime") if f in flags]
-        assert len(slots) == 1, (p, slots)
+    # on each U part, in either orientation, at most one class test holds,
+    # part_slot names it, and its flag is the part's one class flag
+    flags = {flag for flag, _ in _CLASSES}
+    for p in u_parts(60):
+        for s in (p, p[::-1]):
+            holds = [i for i, (_, test) in enumerate(_CLASSES)
+                     if test(shape(s)[0], len(s))]
+            assert len(holds) <= 1, (s, holds)
+            assert part_slot(s) == (holds[0] if holds else None), s
+            assert classify_part(s) & flags == {_CLASSES[i][0] for i in holds}, s
 
 
 def test_part_slot_and_in_k():

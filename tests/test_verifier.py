@@ -7,10 +7,10 @@ from linclob import cli, verifier
 from linclob.core import (
     BLACK, WHITE, Game, alternating, apply_move, legal_moves, parse_position,
 )
-from linclob.asf import normalize
+from linclob.asf import RewriteRule, normalize, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
 from linclob.strategy import NotInScope, Ruleset
-from linclob.taxonomy import SClass, enumerate_s_games, s_class
+from linclob.taxonomy import SClass, enumerate_s_games, s_class, u_parts
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
     check_u_closure, verify_game, verify_range, verify_start,
@@ -208,6 +208,35 @@ def test_u_closure_has_no_false_failures_for_any_reach():
     # for odd r is r + 3: oxo and xox (r = 3) need a6
     for reach in range(1, 16):
         assert check_u_closure(15, reach).failures == [], reach
+
+
+def test_u_closure_reports_a_piece_outside_u_and_an_unreached_part(monkeypatch):
+    # planted parts: oooox, outside U, whose clobber x -> o leaves ooox,
+    # also outside U; and a30, a U part past the reach of two moves
+    a30 = "ox" * 15
+    monkeypatch.setattr(verifier, "u_parts", lambda k: u_parts(k) + [a30, "oooox"])
+    assert check_u_closure(15, 12).failures == [
+        ("oooox", "ooox"),
+        (a30, "unreachable in two moves"),
+        ("oooox", "unreachable in two moves"),
+    ]
+
+
+def test_asf_soundness_reports_unsound_rules_by_name(monkeypatch, capsys):
+    # planted faults: a rule oxo -> 0 (oxo is *, not 0), and a pair cancel
+    # of each sample against itself instead of its negative, which holds
+    # only for the self-negative samples ox and oxox
+    planted = RewriteRule("planted", frozenset({"oxo"}), ())
+    monkeypatch.setattr(verifier, "rule_table", lambda: [*rule_table(), planted])
+    monkeypatch.setattr(verifier, "flip", str)
+    report = check_asf_soundness(SolveCache())
+    assert report.instances_checked == 34
+    assert report.failures == [("beta", "xxo"), ("beta", "oxoxo"),
+                               ("beta", "ooxoxo"), ("planted", "oxo")]
+    assert cli.run(["check", "asf"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "theorem=AsfSoundness instances=34 failures=4"
+    assert out[-1] == "failure=('planted', 'oxo')"
 
 
 def test_asf_soundness_report():
