@@ -19,8 +19,9 @@ is `add_form` of the other parts and the standard form of the move's pieces.
 Each part has one cached move table per player (`part_successors`): each
 distinct standard form of the pieces its clobbers leave, mapped to those
 clobbers.  `normalized_children` builds each child a search needs that way,
-once, with the first clobber that reaches it: one per form in each part's table (no two parts share a child), and
-nothing for a copy of the part before it, which has the same children.  The
+once, with the first clobber that reaches it: one per form in each part's
+table (no two parts share a child), and nothing for a copy of the part
+before it, which has the same children.  The
 oracle uses neither: it stays on raw moves, so that it remains independent
 of the rewriter.
 """

@@ -14,8 +14,7 @@ table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
 against -p, and the rest of a standard-form game is its own form, so the
 child is the form added to the rest of the game (`asf.add_form`).
-`left_child` returns the rule id, that move and the child; `ambiguous_rows`
-checks the lookup on every row of `table_rows`.
+`left_child` returns the rule id, that move and the child.
 """
 
 from __future__ import annotations
@@ -24,14 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
 
 from .core import (
-    BLACK, Game, Move, canonical, clobbers, expand_shorthand, format_game,
-    part_token,
+    BLACK, Game, Move, canonical, expand_shorthand, format_game, part_token,
 )
 from .asf import Parts, add_form, normalize, normalized_children, part_successors
-from .taxonomy import classify_part, in_S0, in_left_target, in_shape, k_parts
+from .taxonomy import classify_part, in_S0, in_left_target, in_shape
 
 
 class NotInScope(ValueError):
@@ -235,29 +232,3 @@ def _rule_row(parts: Parts) -> Row:
         raise StrategyGap(f"no rule matches {Game(parts)}")
     return best[1]
 
-
-def table_rows() -> list[Row]:
-    """The whole-game and fixed rows, and the row chosen on each lone K part
-    and the spiral rows on a-parts of at most 30 stones."""
-    cases = list(_WHOLE_GAME_ROWS.values())
-    cases += [(r[0], _part(r[2]), _form(*r[3])) for r in _RULE_TOKENS if len(r) == 4]
-    cases += [_rule_row((p,)) for p in k_parts(30)]
-    for a in range(4, 31, 2):
-        for oo in range(4, a, 2):
-            row = _spiral_tokens((_part(f"a{a}"), _part(f"oo{oo}")))
-            if row is not None:
-                cases.append((*row[:2], _form(*row[2])))
-    return cases
-
-
-def ambiguous_rows(cases: Iterable[Row]) -> list[str]:
-    """The `rule_id:part->form` of each (rule id, part, form) row whose form
-    is reached from the lone part by no Left move, or by moves to more than
-    one position before normalization."""
-    bad: list[str] = []
-    for rule_id, part, form in cases:
-        table = clobbers(part)
-        if len({table[c] for c in part_successors(part, BLACK).get(form, ())}) != 1:
-            bad.append(f"{rule_id}:{part_token(part)}->"
-                       f"{format_game(Game(form), 'short')}")
-    return bad

@@ -214,8 +214,9 @@ def check_asf_soundness(cache: SolveCache) -> TheoremReport:
 
 
 def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremReport:
-    """Moves on U parts stay in U; every U part up to `reach_stones` appears
-    within two moves of play from some even alternating part."""
+    """Moves on U parts stay in U; every U part of at most `reach_stones` and
+    `max_stones` stones appears within two moves of an even alternating part."""
+    reach_stones = min(reach_stones, max_stones)
     report = TheoremReport("UClosure", 0)
     for u in u_parts(max_stones):
         for pieces in clobbers(u).values():

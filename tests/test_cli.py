@@ -3,6 +3,7 @@ import csv
 import doctest
 import inspect
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -400,11 +401,13 @@ def test_check_conjecture(capsys, monkeypatch):
 
 
 def test_check_that_checks_nothing_is_a_usage_error(capsys):
-    # no even alternating start has fewer than 2 stones
-    assert run(["check", "conjecture", "--max-stones", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "nothing to check" in captured.err
+    # no even alternating start has fewer than 2 stones, and no U part of
+    # fewer than 2 stones has a move
+    for suite in ("conjecture", "u-closure"):
+        assert run(["check", suite, "--max-stones", "1"]) == 2, suite
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nothing to check" in captured.err
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -431,6 +434,23 @@ def test_readme_lists_every_verb_suite_and_flag():
         assert len(lines) == 1, words
         named = re.findall(r"--[\w-]+", " ".join(lines[0]))
         assert set(_flags(parser)) <= set(named), words
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # each `$ linclob` line's output, compared up to a `...` line
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    examples = block.split("$ linclob ")[1:]
+    assert len(examples) == 3
+    for example in examples:
+        command, *want = example.splitlines()
+        assert run(shlex.split(command)) == 0, command
+        got = capsys.readouterr().out.splitlines()
+        if "..." in want:
+            want = want[:want.index("...")]
+            got = got[:len(want)]
+        assert got == want, command
 
 
 def test_readme_library_example_runs():

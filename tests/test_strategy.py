@@ -10,8 +10,8 @@ from linclob.core import (
 )
 from linclob.asf import normalize, normalize_trace, part_successors
 from linclob.strategy import (
-    NotInScope, Ruleset, StrategyGap, StrategyMove, ambiguous_rows,
-    choose_left_move, require_scope, table_rows,
+    NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
+    require_scope,
 )
 from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target, k_parts
 from linclob.verifier import verify_range
@@ -214,38 +214,39 @@ def test_improved_override_spiral():
         assert pick(text, Ruleset.IMPROVED) == pick(text), text
 
 
-def test_rule_rows_are_unambiguous():
-    # whole-game, fixed, lone-K-part and spiral rows
-    assert ambiguous_rows(table_rows()) == []
-
-
 def test_row_clobbers_match_a_literal_filter():
-    # table_rows() is the whole-game, fixed, lone-K-part and spiral rows,
+    # the whole-game, fixed, lone-K-part and spiral rows up to 30 stones,
     # each form that of the row's shorthand tokens by the literal rewriter;
     # each form's entry in the part's table holds the Left clobbers whose
-    # pieces literally normalize to it
+    # pieces literally normalize to it, and they leave one raw position
     whole = strategy._WHOLE_GAME_TOKENS
-    assert list(strategy._WHOLE_GAME_ROWS) == [literal_form(game) for game in whole]
     want = [literal_row(r, p, *t) for r, p, t in whole.values()]
-    want += [literal_row(r[0], r[2], *r[3])
-             for r in strategy._RULE_TOKENS if len(r) == 4]
-    want += [literal_rule_row(Game((p,))) for p in k_parts(30)]
+    assert list(strategy._WHOLE_GAME_ROWS.items()) == list(
+        zip([literal_form(game) for game in whole], want))
+    for r in strategy._RULE_TOKENS:
+        if len(r) == 4:
+            row = literal_row(r[0], r[2], *r[3])
+            assert row in [found for _, found, _ in strategy._part_rows(row[1])]
+            want.append(row)
+    lone = [literal_rule_row(Game((p,))) for p in k_parts(30)]
+    assert [strategy._rule_row((p,)) for p in k_parts(30)] == lone
+    want += lone
     for a in range(4, 31, 2):
         for oo in range(4, a, 2):
             row = strategy._spiral_tokens(
                 (literal_part(f"a{a}"), literal_part(f"oo{oo}")))
             if row is not None:
+                assert strategy._form(*row[2]) == literal_form(row[2])
                 want.append(literal_row(*row[:2], *row[2]))
-    rows = table_rows()
-    assert rows == want
-    kinds = {rule_id for rule_id, _, _ in rows}
+    kinds = {rule_id for rule_id, _, _ in want}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
-    for rule_id, part, form in rows:
+    for rule_id, part, form in want:
         hits = tuple(c for c, pieces in clobbers(part).items()
                      if part[c[0] - 1] == BLACK
                      and literal(Game(pieces)).parts == form)
         assert part_successors(part, BLACK).get(form, ()) == hits, \
             (rule_id, part, form)
+        assert len({clobbers(part)[c] for c in hits}) == 1, (rule_id, part, form)
 
 
 def _whole_game_search(g: Game, rule_id: str, part: str,
@@ -346,19 +347,6 @@ def test_fallback_moves_match_the_whole_game_search(rule_rows):
     assert sum(m.part_index > 0 for m in fallbacks) == 105
     for g, sm in zip(games, moves):
         assert sm == _reference_move(g, Ruleset.BASIC), g
-
-
-def test_ambiguous_row_is_reported():
-    # two Left moves on a6 reach a2 before normalization: oxo and oxoxx
-    assert ambiguous_rows([literal_row("planted", "a6", "a2")]) == ["planted:a6->ox"]
-    # a row no move reaches is reported too; a unique row is not
-    assert ambiguous_rows([literal_row("none", "a6", "o5"),
-                           literal_row("1d", "a8", "o5")]) == ["none:a6->o5"]
-    # two spiral rows on one a-part: the label names the unreachable one,
-    # o9 + xx6 in standard form
-    assert ambiguous_rows([literal_row("spiral", "a14", "o7", "xx6"),
-                           literal_row("spiral", "a14", "o9", "xx6")]) \
-        == ["spiral:a14->ox + oxx + xx6"]
 
 
 def test_row_no_move_realizes_is_a_gap(rule_rows, capsys):
