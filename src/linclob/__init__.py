@@ -22,8 +22,8 @@ from .strategy import (
 )
 from .verifier import (
     TheoremReport, VerifyStats, check_asf_soundness, check_conjecture,
-    check_theorem_left, check_theorem_right, check_u_closure, verify_game,
-    verify_range, verify_start,
+    check_theorem_left, check_theorem_right, check_u_closure, verify_range,
+    verify_start,
 )
 
 __version__ = "0.1.0"

@@ -57,8 +57,7 @@ _EXIT_CODES = {
 # u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
 # solves every start of up to max-stones stones (44: 7.0-8.5 s, 89 MiB).
 _SUITES = {
-    "asf": (lambda **kw: check_asf_soundness(SolveCache(**kw)),
-            (("--budget", "max_stones", MAX_START_STONES),)),
+    "asf": (check_asf_soundness, (("--budget", "max_stones", MAX_START_STONES),)),
     "theorem-right": (check_theorem_right,
                       (("--max-stones", "max_stones", 40),
                        ("--max-parts", "max_parts", None))),
@@ -267,9 +266,9 @@ def _verify(args) -> int:
         print(f"seconds={seconds:.3f}")
         if fh is not None:
             # A file opened for appending starts at its end.  Only a file
-            # that held data is truncated: on ext4 a truncation makes the
-            # close write the new data out to disk at once.
-            if fh.tell():
+            # that held data is truncated (a pipe holds none): on ext4 a
+            # truncation makes the close write the new data out at once.
+            if fh.seekable() and fh.tell():
                 fh.truncate(0)
             writer = csv.writer(fh)
             writer.writerow(["n", "left_nodes", "right_nodes"])

@@ -28,7 +28,7 @@ from .asf import (
     rule_table,
 )
 from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
-from .strategy import Ruleset, StrategyGap, choose_left_move, left_child, require_scope
+from .strategy import Ruleset, StrategyGap, choose_left_move, left_child
 from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
@@ -57,15 +57,6 @@ class TheoremReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def verify_game(g: Game, ruleset: Ruleset) -> bool:
-    """True iff Left, to move on normalized g, wins by playing the ruleset
-    against every Right reply.  Raises NotInScope if normalized g is not an
-    S0 game."""
-    g = normalize(g)
-    require_scope(g)
-    return not _search([g.parts], ruleset)[0]
 
 
 def _left_node(parts: Parts, ruleset: Ruleset) -> Parts | None:
@@ -193,8 +184,10 @@ def check_conjecture(max_stones: int = DEFAULT_MAX_STONES) -> TheoremReport:
 _BETA_SAMPLES = ("ox", "oxox", "xxo", "oxoxo", "ooxoxo")
 
 
-def check_asf_soundness(cache: SolveCache) -> TheoremReport:
-    """Every rewrite rule's left side is oracle-equivalent to its right side."""
+def check_asf_soundness(max_stones: int = DEFAULT_MAX_STONES) -> TheoremReport:
+    """Every rewrite rule's left side is oracle-equivalent to its right side,
+    each solved within `max_stones` stones."""
+    cache = SolveCache(max_stones=max_stones)
     report = TheoremReport("AsfSoundness", 0)
     for rule in rule_table():
         if rule.lhs is None:
@@ -213,10 +206,10 @@ def check_asf_soundness(cache: SolveCache) -> TheoremReport:
     return report
 
 
-def check_u_closure(max_stones: int = 15, reach_stones: int = 12) -> TheoremReport:
-    """Moves on U parts stay in U; every U part of at most `reach_stones` and
-    `max_stones` stones appears within two moves of an even alternating part."""
-    reach_stones = min(reach_stones, max_stones)
+def check_u_closure(max_stones: int = 15) -> TheoremReport:
+    """Moves on U parts of at most `max_stones` stones stay in U; each such
+    part of at most 12 stones is within two moves of an even alternating part."""
+    reach_stones = min(12, max_stones)
     report = TheoremReport("UClosure", 0)
     for u in u_parts(max_stones):
         for pieces in clobbers(u).values():

@@ -53,7 +53,7 @@ def test_criterion_01_conjecture_desk_scale():
 
 def test_criterion_02_asf_soundness():
     t0 = time.perf_counter()
-    rep = check_asf_soundness(_CACHE)
+    rep = check_asf_soundness()
     total = time.perf_counter() - t0
     ok = rep.ok and total <= 120
     assert report(2, ok, f"{rep.instances_checked} rule instances oracle-equivalent, "
@@ -111,7 +111,7 @@ def test_criterion_06_theorem_left():
 
 
 def test_criterion_07_u_closure():
-    rep = check_u_closure(15, 12)
+    rep = check_u_closure(15)
     assert report(7, rep.ok, f"U-closure <=15 stones and 2-move reachability "
                              f"<=12 stones: {rep.instances_checked} instances, "
                              f"{len(rep.failures)} failures")

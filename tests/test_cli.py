@@ -2,8 +2,11 @@ import argparse
 import csv
 import doctest
 import inspect
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,7 +15,6 @@ import pytest
 from linclob import cli, verifier
 from linclob.cli import run
 from linclob.core import BudgetExceeded, EmptyPosition, ParseError
-from linclob.oracle import SolveCache
 from linclob.strategy import NotInScope, StrategyGap
 from linclob.verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
@@ -261,6 +263,17 @@ def test_verify_csv_path_that_cannot_be_written(tmp_path, capsys):
         assert "--csv" in captured.err and str(path) in captured.err
 
 
+def test_verify_csv_to_a_pipe():
+    # a pipe holds no earlier CSV to truncate, and cannot be sought in
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "linclob.cli", "verify", "--from", "8", "--to", "10",
+         "--csv", "/dev/stdout"], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-3:] == ["n,left_nodes,right_nodes", "4,3,3", "5,5,3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "a4"], ["normalize", "a4"], ["classify", "a4"],
     ["moves", "a4", "--player", "L"], ["best", "a4"], ["equiv", "a4", "a4"],
@@ -298,8 +311,7 @@ def test_check_rejects_bounds_below_one(capsys):
     ("conjecture", check_conjecture),
 ])
 def test_check_defaults_are_the_library_defaults(capsys, suite, check):
-    # the asf check takes its solver cache, whose defaults are the library's
-    report = check(SolveCache()) if check is check_asf_soundness else check()
+    report = check()
     run(["check", suite])
     assert capsys.readouterr().out.splitlines()[0] == (
         f"theorem={report.theorem} instances={report.instances_checked} "

@@ -9,11 +9,11 @@ from linclob.core import (
 )
 from linclob.asf import RewriteRule, normalize, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
-from linclob.strategy import NotInScope, Ruleset
+from linclob.strategy import Ruleset, left_child
 from linclob.taxonomy import SClass, enumerate_s_games, s_class, u_parts
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_game, verify_range, verify_start,
+    check_u_closure, verify_range, verify_start,
 )
 
 
@@ -29,18 +29,6 @@ def test_verify_start_rejects_bad_starts():
     for stones in (2, 3, 6, 7, 502):
         with pytest.raises(ValueError):
             verify_start(stones)
-
-
-def test_verify_game_on_s_games():
-    assert verify_game(parse_position("a4"), Ruleset.BASIC)
-    assert verify_game(parse_position("xxo"), Ruleset.BASIC)
-    assert verify_game(parse_position("o5"), Ruleset.BASIC)
-
-
-def test_verify_game_refuses_games_outside_s0():
-    # rule 1d moves on a8, but a8 + x5 is no S game
-    with pytest.raises(NotInScope):
-        verify_game(parse_position("a8 + x5"), Ruleset.BASIC)
 
 
 def test_memo_determinism():
@@ -62,30 +50,41 @@ def test_shared_memo_counts_match_separate_runs(ruleset):
     assert counts(verify_range(starts[::-1], ruleset)) == want
 
 
+def _pass_moves(monkeypatch, ruleset, play=left_child):
+    """The pass over 8..40 with Left's move given by `play`: its stats, and
+    each Left node it expands with the child `play` moves it to."""
+    moves = []
+
+    def recorded(parts, ruleset):
+        move = play(parts, ruleset)
+        moves.append((parts, move[2]))
+        return move
+    monkeypatch.setattr(verifier, "left_child", recorded)
+    stats = verify_range(range(8, 41, 2), ruleset)
+    monkeypatch.undo()
+    return stats, moves
+
+
 @pytest.mark.parametrize("ruleset, calls", [(Ruleset.BASIC, 2283),
                                             (Ruleset.IMPROVED, 2169)])
 def test_range_expands_each_left_node_once(monkeypatch, ruleset, calls):
     # the strategy runs once per distinct non-empty Left node of 8..40
-    seen = []
-    left_child = verifier.left_child
+    stats, moves = _pass_moves(monkeypatch, ruleset)
+    assert all(st.left_wins for st in stats)
+    nodes = [node for node, _ in moves]
+    assert len(nodes) == len(set(nodes)) == calls
 
-    def counted(parts, ruleset):
-        seen.append(parts)
-        return left_child(parts, ruleset)
-    monkeypatch.setattr(verifier, "left_child", counted)
-    assert all(st.left_wins for st in verify_range(range(8, 41, 2), ruleset))
-    assert len(seen) == len(set(seen)) == calls
+
+def _wrong_left_child(parts, ruleset):
+    """Left's move with one planted fault: a lone a4 goes to a2, not to rule
+    5i's xxo, and Right then moves to 0."""
+    if parts == ("oxox",):
+        return "wrong", (0, 2, 1), ("ox",)
+    return left_child(parts, ruleset)
 
 
 def test_verify_rejects_a_wrong_left_move(monkeypatch):
-    # Left answers a lone a4 with a2, not rule 5i's xxo: Right then moves to 0
-    left_child = verifier.left_child
-
-    def wrong(parts, ruleset):
-        if parts == ("oxox",):
-            return "wrong", (0, 2, 1), ("ox",)
-        return left_child(parts, ruleset)
-    monkeypatch.setattr(verifier, "left_child", wrong)
+    monkeypatch.setattr(verifier, "left_child", _wrong_left_child)
     stats = verify_range(range(8, 15, 2))
     # a lost start counts every node it reaches, not only those searched up
     # to the first refutation
@@ -94,6 +93,37 @@ def test_verify_rejects_a_wrong_left_move(monkeypatch):
     assert cli.run(["verify", "--from", "8", "--to", "14"]) == 1
     monkeypatch.undo()
     assert all(st.left_wins for st in verify_range(range(8, 15, 2)))
+
+
+def _oracle_check(moves):
+    """The Left moves checked by the oracle within 24 stones: the numbers of
+    nodes and of children checked, and the moves whose node is not a
+    Left-first win or whose child is not a Right-first loss."""
+    cache = SolveCache(max_stones=24)
+
+    def solved(parts, player):
+        if sum(map(len, parts)) <= 24:
+            return wins_moving_first(Game(parts), player, cache)
+    verdicts = [(solved(node, BLACK), solved(child, WHITE)) for node, child in moves]
+    wrong = [move for move, (node, child) in zip(moves, verdicts)
+             if node is False or child is True]
+    return (sum(node is not None for node, _ in verdicts),
+            sum(child is not None for _, child in verdicts), wrong)
+
+
+@pytest.mark.parametrize("ruleset, nodes, children", [(Ruleset.BASIC, 1090, 1683),
+                                                      (Ruleset.IMPROVED, 1087, 1670)])
+def test_every_left_move_of_the_pass_agrees_with_the_oracle(monkeypatch, ruleset,
+                                                            nodes, children):
+    # each Left node is a win for Left moving first, and Left's move leaves
+    # Right, moving first, a loss
+    _, moves = _pass_moves(monkeypatch, ruleset)
+    assert _oracle_check(moves) == (nodes, children, [])
+
+
+def test_oracle_check_reports_a_wrong_left_move(monkeypatch):
+    _, moves = _pass_moves(monkeypatch, Ruleset.BASIC, _wrong_left_child)
+    assert _oracle_check(moves)[2] == [(("oxox",), ("ox",))]
 
 
 _EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
@@ -130,7 +160,7 @@ def test_agreement_with_oracle_up_to_20_stones():
 
 def test_corollary_outcomes_on_enumerated_s_games():
     cache = SolveCache(order="fast")
-    for g in enumerate_s_games(16, 2):
+    for g in enumerate_s_games(24, 4):
         o = outcome(g, cache)
         if s_class(g) in (SClass.S1, SClass.S2):
             assert o is OutcomeClass.L, g
@@ -197,18 +227,18 @@ def test_theorem_left_full_bound_has_single_known_gap():
 def test_u_closure_small():
     # one instance per clobber of either player on each U part, plus one per
     # non-trivial U part tested for reachability; the counts were recorded
-    # with an independent clobber generator on raw stone strings; (10, 12)
-    # tests reachability up to 10 stones only, like (12, 10)
-    for bounds, instances in (((15, 12), 975), ((12, 10), 581), ((10, 12), 393)):
-        report = check_u_closure(*bounds)
-        assert (report.instances_checked, report.failures) == (instances, []), bounds
+    # with an independent clobber generator on raw stone strings; 10 tests
+    # reachability up to 10 stones only
+    for max_stones, instances in ((15, 975), (10, 393)):
+        report = check_u_closure(max_stones)
+        assert (report.instances_checked, report.failures) == (instances, []), max_stones
 
 
 def test_u_closure_has_no_false_failures_for_any_reach():
     # a piece of r stones comes from a start of at least r + 2 stones, which
     # for odd r is r + 3: oxo and xox (r = 3) need a6
-    for reach in range(1, 16):
-        assert check_u_closure(15, reach).failures == [], reach
+    for max_stones in range(1, 16):
+        assert check_u_closure(max_stones).failures == [], max_stones
 
 
 def test_u_closure_reports_a_piece_outside_u_and_an_unreached_part(monkeypatch):
@@ -216,7 +246,7 @@ def test_u_closure_reports_a_piece_outside_u_and_an_unreached_part(monkeypatch):
     # also outside U; and a30, a U part past the reach of two moves
     a30 = "ox" * 15
     monkeypatch.setattr(verifier, "u_parts", lambda k: u_parts(k) + [a30, "oooox"])
-    assert check_u_closure(15, 12).failures == [
+    assert check_u_closure(15).failures == [
         ("oooox", "ooox"),
         (a30, "unreachable in two moves"),
         ("oooox", "unreachable in two moves"),
@@ -230,7 +260,7 @@ def test_asf_soundness_reports_unsound_rules_by_name(monkeypatch, capsys):
     planted = RewriteRule("planted", frozenset({"oxo"}), ())
     monkeypatch.setattr(verifier, "rule_table", lambda: [*rule_table(), planted])
     monkeypatch.setattr(verifier, "flip", str)
-    report = check_asf_soundness(SolveCache())
+    report = check_asf_soundness()
     assert report.instances_checked == 34
     assert report.failures == [("beta", "xxo"), ("beta", "oxoxo"),
                                ("beta", "ooxoxo"), ("planted", "oxo")]
@@ -241,6 +271,6 @@ def test_asf_soundness_reports_unsound_rules_by_name(monkeypatch, capsys):
 
 
 def test_asf_soundness_report():
-    report = check_asf_soundness(SolveCache(order="fast"))
+    report = check_asf_soundness()
     # five beta samples and each listed left side of the other twelve rules
     assert report.ok and report.instances_checked == 33
