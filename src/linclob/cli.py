@@ -57,7 +57,7 @@ _EXIT_CODES = {
 # u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
 # solves every start of up to max-stones stones (44: 7.0-8.5 s, 89 MiB).
 _SUITES = {
-    "asf": (check_asf_soundness, (("--budget", "max_stones", MAX_START_STONES),)),
+    "asf": (check_asf_soundness, ()),
     "theorem-right": (check_theorem_right,
                       (("--max-stones", "max_stones", 40),
                        ("--max-parts", "max_parts", None))),
@@ -265,10 +265,11 @@ def _verify(args) -> int:
                   f"left_nodes={st.left_nodes} right_nodes={st.right_nodes}")
         print(f"seconds={seconds:.3f}")
         if fh is not None:
-            # A file opened for appending starts at its end.  Only a file
-            # that held data is truncated (a pipe holds none): on ext4 a
-            # truncation makes the close write the new data out at once.
-            if fh.seekable() and fh.tell():
+            # A file opened for appending starts at its end.  Only a file that
+            # held data is truncated (on ext4 a truncation makes the close write
+            # the data out), not a pipe nor stdout's file (fd 1, if it is open).
+            if fh.seekable() and fh.tell() and not (
+                    sys.__stdout__ and os.path.sameopenfile(fh.fileno(), 1)):
                 fh.truncate(0)
             writer = csv.writer(fh)
             writer.writerow(["n", "left_nodes", "right_nodes"])

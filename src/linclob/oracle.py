@@ -39,14 +39,14 @@ class SolveCache:
     A position is its sorted tuple of parts.  Right to move on g is looked
     up as Left to move on -g, so g and -g share one key; a self-negative
     game such as a(2n) or g + (-g) answers its Right-first solve from the
-    Left-first one.  `order` is "fast" (children sorted by (stones, parts),
-    smallest first; usually fewer nodes) or "counted" (Left's moves in the
-    game-core scan order on the node's parts, the reference that the tests
-    check against a literal search).  Both give the same answers.  A node's
-    children are built from `_moves`, each part's cached list of Left moves
-    with their pieces already negated and their stone counts, so neither
-    order re-reads the clobber tables or re-sums part lengths.  `table` is
-    read only through `.get` and item assignment.
+    Left-first one.  `order` is "fast" (children sorted by (the move's
+    change in stones, parts), smallest first; usually fewer nodes) or
+    "counted" (Left's moves in the game-core scan order on the node's parts,
+    the reference that the tests check against a literal search).  Both give
+    the same answers.  A node's children are built from `_moves`, each
+    part's cached Left moves with their pieces already negated and their
+    change in stones, so no order re-reads the clobber tables or sums part
+    lengths.  `table` is read only through `.get` and item assignment.
     """
 
     max_stones: int = DEFAULT_MAX_STONES
@@ -70,7 +70,7 @@ def _solve(parts: tuple[str, ...], cache: SolveCache) -> bool:
         return hit
     children = _children(parts)
     if cache.order == "fast":
-        children.sort()  # by (stones, child); every child is distinct
+        children.sort()  # by (change in stones, child); all are distinct
     result = False
     for _, child in children:
         if not _solve(child, cache):  # Right, to move on -child, loses
@@ -98,9 +98,8 @@ def _moves(part: str) -> tuple[tuple[tuple[str, ...], int], ...]:
 
 def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     """The negatives of the distinct positions Left reaches in one move, in
-    move order, each with its stone count.  No two parts reach one position:
-    a move on p leaves one copy of p fewer, one on another part no fewer."""
-    stones = sum(map(len, parts))
+    move order, each with the move's change in stones.  No two parts reach
+    one position: moving on p leaves one p fewer, elsewhere no fewer."""
     negated = _negative(parts)
     children = []
     for i, part in enumerate(parts):
@@ -109,7 +108,7 @@ def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
         j = negated.index(negative(part))
         rest = negated[:j] + negated[j + 1:]
         for pieces, delta in _moves(part):
-            children.append((stones + delta, tuple(sorted(rest + pieces))))
+            children.append((delta, tuple(sorted(rest + pieces))))
     return children
 
 

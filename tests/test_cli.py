@@ -44,9 +44,9 @@ def test_solve_budget_exit_code(capsys):
 
 def test_budget_has_the_500_stone_cap(capsys):
     # the oracle takes one frame per ply, so a larger budget is a usage error
-    for argv in (["solve", "ox"], ["equiv", "ox", "ox"], ["check", "asf"]):
+    for argv in (["solve", "ox"], ["equiv", "ox", "ox"]):
         assert run([*argv, "--budget", "501"]) == 2, argv
-    assert capsys.readouterr().err.count("over the 500 cap") == 3
+    assert capsys.readouterr().err.count("over the 500 cap") == 2
     assert run(["solve", "-".join(["ox"] * 250), "--budget", "500"]) == 0
     assert capsys.readouterr().out == "P\n"
 
@@ -263,15 +263,50 @@ def test_verify_csv_path_that_cannot_be_written(tmp_path, capsys):
         assert "--csv" in captured.err and str(path) in captured.err
 
 
+def _verify_in_a_process(csv_path, **streams) -> subprocess.CompletedProcess:
+    """`verify --from 8 --to 10 --csv csv_path` in a fresh process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "linclob.cli", "verify", "--from", "8", "--to", "10",
+         "--csv", str(csv_path)], text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        **streams)
+
+
+_CSV_8_TO_10 = ["n,left_nodes,right_nodes", "4,3,3", "5,5,3"]
+
+
 def test_verify_csv_to_a_pipe():
     # a pipe holds no earlier CSV to truncate, and cannot be sought in
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "linclob.cli", "verify", "--from", "8", "--to", "10",
-         "--csv", "/dev/stdout"], stdout=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    done = _verify_in_a_process("/dev/stdout", stdout=subprocess.PIPE)
     assert done.returncode == 0
-    assert done.stdout.splitlines()[-3:] == ["n,left_nodes,right_nodes", "4,3,3", "5,5,3"]
+    assert done.stdout.splitlines()[-3:] == _CSV_8_TO_10
+
+
+def test_verify_csv_to_stdout_appending_to_a_file(tmp_path):
+    # stdout's own file keeps what it held: its earlier line, then the
+    # verdicts, then the CSV
+    log = tmp_path / "log.txt"
+    log.write_text("earlier line\n")
+    with log.open("a") as out:
+        assert _verify_in_a_process("/dev/stdout", stdout=out).returncode == 0
+    lines = log.read_text().splitlines()
+    assert lines[:3] == ["earlier line", "n=4 left_wins=True left_nodes=3 right_nodes=3",
+                         "n=5 left_wins=True left_nodes=5 right_nodes=3"]
+    assert lines[3].startswith("seconds=") and lines[4:] == _CSV_8_TO_10
+
+
+def test_verify_csv_with_stdin_and_stdout_closed(tmp_path):
+    # the CSV file takes descriptor 0; with no stdout to compare it with,
+    # an earlier CSV is replaced as on any other path
+    path = tmp_path / "v.csv"
+    path.write_text("sentinel\n")
+
+    def close_stdin_and_stdout():
+        os.close(0)
+        os.close(1)
+    assert _verify_in_a_process(path, preexec_fn=close_stdin_and_stdout).returncode == 0
+    assert path.read_text().splitlines() == _CSV_8_TO_10
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,8 +327,6 @@ def test_check_rejects_bounds_below_one(capsys):
     for argv, flag in ((["check", "u-closure", "--max-stones", "0"], "--max-stones"),
                        (["check", "theorem-right", "--max-stones", "-5"], "--max-stones"),
                        (["check", "theorem-left", "--max-parts", "0"], "--max-parts"),
-                       (["check", "asf", "--budget", "0"], "--budget"),
-                       (["check", "asf", "--budget", "-1"], "--budget"),
                        (["solve", "a4", "--budget", "0"], "--budget"),
                        (["solve", "ox", "--budget", "-1"], "--budget"),
                        (["equiv", "a4", "a4", "--budget", "0"], "--budget"),
@@ -319,16 +352,32 @@ def test_check_defaults_are_the_library_defaults(capsys, suite, check):
 
 
 @pytest.mark.parametrize("suite, flag", [
-    ("asf", "--max-stones"), ("asf", "--max-parts"),
+    ("asf", "--max-stones"), ("asf", "--max-parts"), ("asf", "--budget"),
     ("u-closure", "--max-parts"), ("u-closure", "--budget"),
     ("theorem-right", "--budget"), ("theorem-left", "--budget"),
     ("conjecture", "--max-parts"), ("conjecture", "--budget"),
 ])
 def test_check_rejects_bounds_the_suite_does_not_read(capsys, suite, flag):
-    assert run(["check", suite, flag, "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert flag in captured.err and suite in captured.err
+    # whatever the value, also one that a bound it reads would refuse
+    for value in ("3", "0", "-1"):
+        assert run(["check", suite, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: check {suite} does not read {flag} {value}\n"
+
+
+# Two small values of each bound that a `check` suite may read.
+_TWO_VALUES = {"--max-stones": (10, 12), "--max-parts": (1, 2), "--budget": (20, 26)}
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+def test_every_check_bound_changes_what_is_checked(suite):
+    # a bound that no instance count depends on is a knob that nothing reads
+    check, reads = cli._SUITES[suite]
+    for flag, keyword, _ in reads:
+        counts = {check(**{keyword: value}).instances_checked
+                  for value in _TWO_VALUES[flag]}
+        assert len(counts) == 2, (suite, flag, counts)
 
 
 def test_check_rejects_huge_max_stones_before_any_work(capsys):
@@ -357,9 +406,11 @@ def test_check_max_parts_needs_no_cap(capsys):
     assert capsys.readouterr().out == nine
 
 
-def test_check_asf_reads_budget(capsys):
-    # the pair-cancellation samples need 10 stones
-    assert run(["check", "asf", "--budget", "4"]) == 3
+def test_check_asf_refuses_budget(capsys):
+    # its largest instance, 18 stones, is within the oracle's default budget
+    assert not inspect.signature(check_asf_soundness).parameters
+    assert run(["check", "asf", "--budget", "40"]) == 2
+    assert capsys.readouterr() == ("", "error: check asf does not read --budget 40\n")
 
 
 def test_check_default_max_parts(capsys):

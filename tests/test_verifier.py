@@ -10,7 +10,9 @@ from linclob.core import (
 from linclob.asf import RewriteRule, normalize, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
 from linclob.strategy import Ruleset, left_child
-from linclob.taxonomy import SClass, enumerate_s_games, s_class, u_parts
+from linclob.taxonomy import (
+    SClass, enumerate_s_games, in_left_target, s_class, u_parts,
+)
 from linclob.verifier import (
     check_asf_soundness, check_theorem_left, check_theorem_right,
     check_u_closure, verify_range, verify_start,
@@ -124,6 +126,26 @@ def test_every_left_move_of_the_pass_agrees_with_the_oracle(monkeypatch, ruleset
 def test_oracle_check_reports_a_wrong_left_move(monkeypatch):
     _, moves = _pass_moves(monkeypatch, Ruleset.BASIC, _wrong_left_child)
     assert _oracle_check(moves)[2] == [(("oxox",), ("ox",))]
+
+
+def test_left_wins_every_s_game_of_40_stones_and_4_parts(monkeypatch):
+    # one pass from all 13,670 games; the paper's lemma fails at one Left
+    # node only, oo12 + a4, whose rule-4b child oo8 + xxo + a4 lies outside
+    # S1, S2, LL and 0 (the known red of criterion 6)
+    misses = []
+
+    def recorded(parts, ruleset):
+        move = left_child(parts, ruleset)
+        if not in_left_target(Game(move[2])):
+            misses.append((parts, move[0], move[2]))
+        return move
+    monkeypatch.setattr(verifier, "left_child", recorded)
+    roots = [g.parts for g in enumerate_s_games(40, 4)]
+    lost, left, right = verifier._search(roots, Ruleset.BASIC)
+    assert len(roots) == 13670 and lost == 0
+    assert (sum(left.values()), sum(right.values())) == (21932, 5078)
+    assert misses == [(parse_position("oo12 + a4").parts, "4b",
+                       parse_position("oo8 + xxo + a4").parts)]
 
 
 _EXPECTED_VERIFY = Path(__file__).parents[1] / "perfbench" / "expected_verify.json"
