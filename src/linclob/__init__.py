@@ -13,8 +13,8 @@ from .oracle import (
 )
 from .taxonomy import (
     NotInK, SClass, classify_part, count_vector, enumerate_s_games,
-    in_K, in_LL, in_Q, in_S0, in_U, in_left_target, in_shape, k_parts,
-    part_slot, s_class,
+    in_K, in_LL, in_Q, in_S0, in_U, in_left_target, k_parts, part_slot,
+    s_class,
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,

@@ -243,39 +243,51 @@ def _verify(args) -> int:
                          f"{args.start}..{args.stop}")
     # Open the CSV before the search, so a path that cannot be written
     # fails at once instead of after the whole range.  Appending truncates
-    # nothing: an earlier CSV survives a search that ends in an error, and a
+    # nothing: an earlier CSV survives a run that ends in an error, and a
     # file this run created is removed again.
-    created = bool(args.csv_path) and not os.path.exists(args.csv_path)
+    path = args.csv_path
+    created = path is not None and not os.path.exists(path)
     try:
-        out = (open(args.csv_path, "a", newline="") if args.csv_path
-               else nullcontext())
+        out = open(path, "a", newline="") if path is not None else nullcontext()
     except OSError as e:
-        raise UsageError(f"cannot write --csv {args.csv_path}: {e.strerror}") from None
-    with out as fh:
-        begin = time.perf_counter()
-        try:
+        raise _unwritable(path, e) from None
+    try:
+        with out as fh:
+            begin = time.perf_counter()
             stats = verify_range(starts, Ruleset(args.ruleset))
-        except BaseException:
-            if created:
-                os.remove(args.csv_path)
-            raise
-        seconds = time.perf_counter() - begin
-        for st in stats:
-            print(f"n={st.n} left_wins={st.left_wins} "
-                  f"left_nodes={st.left_nodes} right_nodes={st.right_nodes}")
-        print(f"seconds={seconds:.3f}")
-        if fh is not None:
-            # A file opened for appending starts at its end.  Only a file that
-            # held data is truncated (on ext4 a truncation makes the close write
-            # the data out), not a pipe nor stdout's file (fd 1, if it is open).
-            if fh.seekable() and fh.tell() and not (
-                    sys.__stdout__ and os.path.sameopenfile(fh.fileno(), 1)):
-                fh.truncate(0)
-            writer = csv.writer(fh)
-            writer.writerow(["n", "left_nodes", "right_nodes"])
+            seconds = time.perf_counter() - begin
             for st in stats:
-                writer.writerow([st.n, st.left_nodes, st.right_nodes])
+                print(f"n={st.n} left_wins={st.left_wins} "
+                      f"left_nodes={st.left_nodes} right_nodes={st.right_nodes}")
+            print(f"seconds={seconds:.3f}")
+            if fh is not None:
+                _write_csv(fh, stats, path)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
     return EXIT_OK if all(st.left_wins for st in stats) else EXIT_CLAIM_FAILS
+
+
+def _unwritable(path: str, e: OSError) -> UsageError:
+    return UsageError(f"cannot write --csv {path}: {e.strerror}")
+
+
+def _write_csv(fh, stats, path: str) -> None:
+    """Write the node counts to the open CSV file and close it."""
+    try:
+        # A file opened for appending starts at its end.  Only a file that
+        # held data is truncated (on ext4 a truncation makes the close write
+        # the data out), not a pipe nor stdout's file (fd 1, if it is open).
+        if fh.seekable() and fh.tell() and not (
+                sys.__stdout__ and os.path.sameopenfile(fh.fileno(), 1)):
+            fh.truncate(0)
+        writer = csv.writer(fh)
+        writer.writerow(["n", "left_nodes", "right_nodes"])
+        writer.writerows([st.n, st.left_nodes, st.right_nodes] for st in stats)
+        fh.close()  # a write held in the buffer fails here
+    except OSError as e:
+        raise _unwritable(path, e) from None
 
 
 def _check(args) -> int:

@@ -193,7 +193,7 @@ SHAPE_FAMILIES: dict[str, tuple[tuple[str, ...], int, int]] = {
 _FORMS = {(*form.split("{}"), parity): (name, least, i > 0)
           for name, (forms, parity, least) in SHAPE_FAMILIES.items()
           for i, form in enumerate(forms)}
-_TOKEN = re.compile(r"(a|o|x|oo|xx)(\d+)(oo|xx|)")
+_TOKEN = re.compile(r"(a|o|x|oo|xx)([0-9]+)(oo|xx|)")
 
 
 def shape_string(name: str, k: int) -> str | None:

@@ -4,11 +4,11 @@ Each rule states a row `(rule id, part, form)`: Left moves on `part` and
 leaves pieces whose standard form is `form`.  The table is data, stated
 once in shorthand: `_WHOLE_GAME_TOKENS` holds the rows stated for one whole
 game, looked up first, `_RULE_TOKENS` every other rule in precedence order,
-so the first row that applies fixes the move, and `_spiral_tokens` the
-improved ruleset's row.  Tokens are resolved to their standard form once
-(`_form`): the whole-game rows into `_WHOLE_GAME_ROWS` at import, every
-other row into the rows that can fire on a part (`_part_rows`) when that
-part is first seen.  Choosing a row normalizes nothing.
+so the first row that applies fixes the move, and `_spiral_row` the
+improved ruleset's row.  One cached `_form` resolves every row's tokens:
+the whole-game rows at import (`_WHOLE_GAME_ROWS`), the others when a part
+is first seen (`_part_rows`), the spiral's when it fires.  So `left_child`
+gets every row resolved, and choosing a row normalizes nothing.
 Left plays the first clobber of the form's entry in the part's Left move
 table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
@@ -25,10 +25,10 @@ from enum import Enum
 from functools import lru_cache
 
 from .core import (
-    BLACK, Game, Move, canonical, expand_shorthand, format_game, part_token,
+    BLACK, Game, Move, canonical, expand_shorthand, format_game, part_token, shape,
 )
 from .asf import Parts, add_form, normalize, normalized_children, part_successors
-from .taxonomy import classify_part, in_S0, in_left_target, in_shape
+from .taxonomy import classify_part, in_S0, in_left_target
 
 
 class NotInScope(ValueError):
@@ -73,14 +73,13 @@ def _part(token: str) -> str:
     return canonical(expand_shorthand(token))
 
 
-def _spiral_tokens(parts: Parts) -> tuple[str, str, tuple[str, str]] | None:
-    """The improved ruleset's row on a(2j) + oo(2k) in shorthand: a(2j) ->
-    o(m) + xx(2k) with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves
-    o(m) alone."""
+def _spiral_row(parts: Parts) -> Row | None:
+    """The improved ruleset's row on a(2j) + oo(2k): a(2j) -> o(m) + xx(2k)
+    with m = 2(j-k)-1, whose xx(2k) cancels oo(2k) and leaves o(m) alone."""
     if len(parts) != 2:
         return None
-    a = next((p for p in parts if in_shape(p, "A")), None)
-    oo = next((p for p in parts if in_shape(p, "oO")), None)
+    family = {shape(p)[0]: p for p in parts}
+    a, oo = family.get("A"), family.get("oO")
     if a is None or oo is None:
         return None
     j, k = len(a) // 2, len(oo) // 2
@@ -89,7 +88,7 @@ def _spiral_tokens(parts: Parts) -> tuple[str, str, tuple[str, str]] | None:
     # Right answers to ox + ox = 0, so it may never be left for Right.
     if j < k + 3 or m == 9:
         return None
-    return "spiral", a, (f"o{m}", f"xx{2 * k}")
+    return "spiral", a, _form(f"o{m}", f"xx{2 * k}")
 
 
 def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
@@ -103,8 +102,8 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
     reach, raises StrategyGap."""
     if not parts:
         raise NotInScope("no moves on the empty game")
-    row = _spiral_tokens(parts) if ruleset is Ruleset.IMPROVED else None
-    rule_id, part, form = (*row[:2], _form(*row[2])) if row else _rule_row(parts)
+    row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
+    rule_id, part, form = row or _rule_row(parts)
     hits = part_successors(part, BLACK).get(form)
     if hits is None:
         raise StrategyGap(f"rule {rule_id}: no Left move on {part_token(part)} "

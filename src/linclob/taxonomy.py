@@ -38,11 +38,6 @@ class SClass(Enum):
     NotInS = "not-in-S"
 
 
-def in_shape(part: str, name: str) -> bool:
-    """Shape membership, insensitive to orientation."""
-    return shape(part)[0] == name
-
-
 # The eight count-vector classes in slot order (a, b, c, d, e, f, y, z):
 # each class flag and its test on a part's shape family and stone count.
 # No part passes two tests.

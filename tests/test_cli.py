@@ -1,6 +1,7 @@
 import argparse
 import csv
 import doctest
+import errno
 import inspect
 import os
 import re
@@ -26,6 +27,9 @@ def test_solve(capsys):
     assert run(["solve", "oxoxox"]) == 0
     assert capsys.readouterr().out.strip() == "P"
     assert run(["solve", "a4"]) == 0
+    assert capsys.readouterr().out.strip() == "N"
+    # a position that starts with a gap comes after --, not as a flag
+    assert run(["solve", "--", "-ox"]) == 0
     assert capsys.readouterr().out.strip() == "N"
 
 
@@ -101,6 +105,11 @@ def test_parse_error_exit_code(capsys):
     assert run(["solve", "oq"]) == 2
     assert run(["normalize", "a4 ++ a2"]) == 2
     capsys.readouterr()
+    # a count is written in ASCII digits only
+    for token in ("a٤", "a４"):
+        assert run(["solve", token]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: unrecognized shorthand token {token!r}\n")
     for blank in ("", "   "):
         assert run(["solve", blank]) == 2
         assert capsys.readouterr() == ("", "error: empty position\n")
@@ -116,6 +125,8 @@ def test_normalize_with_trace(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "a2" or out[-1] == "ox"
     assert any(line.startswith("rule=") for line in out[:-1])
+    assert run(["normalize", "a12", "--format", "stones"]) == 0
+    assert capsys.readouterr().out == "ox-oxox\n"
 
 
 def test_classify(capsys):
@@ -128,6 +139,8 @@ def test_classify(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "count_vector=undefined part=xoxox" in out
     assert "s_class=not-in-S" in out
+    assert run(["classify", "oo8 + a2", "--format", "stones"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "normalized=ooxoxoxo-ox"
 
 
 def test_moves(capsys):
@@ -140,6 +153,9 @@ def test_best(capsys):
     assert "rule=1d" in capsys.readouterr().out
     assert run(["best", "a14 + oo6", "--ruleset", "improved"]) == 0
     assert "rule=spiral" in capsys.readouterr().out
+    assert run(["best", "a8", "--format", "stones"]) == 0
+    assert capsys.readouterr().out == (
+        "rule=1d part=oxoxoxox from=6 to=7 result=oxoxo\n")
 
 
 def test_best_outside_the_strategy_is_a_usage_error(capsys):
@@ -252,7 +268,7 @@ def test_verify_has_no_jobs_flag(capsys):
 
 def test_verify_csv_path_that_cannot_be_written(tmp_path, capsys):
     # refused before the search, not after the whole range
-    for path in (tmp_path / "missing" / "v.csv", tmp_path):
+    for path in (tmp_path / "missing" / "v.csv", tmp_path, ""):
         begin = time.perf_counter()
         assert run(["verify", "--from", "8", "--to", "60",
                     "--csv", str(path)]) == 2
@@ -261,6 +277,28 @@ def test_verify_csv_path_that_cannot_be_written(tmp_path, capsys):
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "--csv" in captured.err and str(path) in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_verify_csv_write_that_fails_after_the_search(capsys):
+    # the verdicts stand; the failed write is a usage error, not a traceback
+    assert run(["verify", "--from", "8", "--to", "10", "--csv", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:2] == _VERDICTS_8_TO_10
+    assert err == "error: cannot write --csv /dev/full: No space left on device\n"
+
+
+def test_verify_csv_write_error_removes_a_new_file(tmp_path, capsys, monkeypatch):
+    # as after a search error, a CSV file this run created does not stay
+    class Full:
+        def writerow(self, row):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(csv, "writer", lambda fh: Full())
+    path = tmp_path / "new.csv"
+    assert run(["verify", "--from", "8", "--to", "10", "--csv", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write --csv {path}: No space left on device\n")
+    assert not path.exists()
 
 
 def _verify_in_a_process(csv_path, **streams) -> subprocess.CompletedProcess:
@@ -274,6 +312,8 @@ def _verify_in_a_process(csv_path, **streams) -> subprocess.CompletedProcess:
 
 
 _CSV_8_TO_10 = ["n,left_nodes,right_nodes", "4,3,3", "5,5,3"]
+_VERDICTS_8_TO_10 = ["n=4 left_wins=True left_nodes=3 right_nodes=3",
+                     "n=5 left_wins=True left_nodes=5 right_nodes=3"]
 
 
 def test_verify_csv_to_a_pipe():
@@ -291,8 +331,7 @@ def test_verify_csv_to_stdout_appending_to_a_file(tmp_path):
     with log.open("a") as out:
         assert _verify_in_a_process("/dev/stdout", stdout=out).returncode == 0
     lines = log.read_text().splitlines()
-    assert lines[:3] == ["earlier line", "n=4 left_wins=True left_nodes=3 right_nodes=3",
-                         "n=5 left_wins=True left_nodes=5 right_nodes=3"]
+    assert lines[:3] == ["earlier line", *_VERDICTS_8_TO_10]
     assert lines[3].startswith("seconds=") and lines[4:] == _CSV_8_TO_10
 
 

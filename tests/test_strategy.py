@@ -48,6 +48,19 @@ def literal_row(rule_id: str, token: str, *tokens: str) -> tuple[str, str, tuple
     return rule_id, literal_part(token), literal_form(tokens)
 
 
+def literal_spiral_row(parts: tuple[str, ...]) -> tuple[str, str, tuple] | None:
+    """The improved ruleset's row by the paper's statement, a(2j) + oo(2k) ->
+    o(2(j-k)-1) + xx(2k), only when j >= k + 3 and the remaining part is not
+    o9; the reference for `strategy._spiral_row`."""
+    for a, oo in (parts, parts[::-1]) if len(parts) == 2 else ():
+        j, k = len(a) // 2, len(oo) // 2
+        m = 2 * (j - k) - 1
+        if (k >= 2 and j >= k + 3 and m != 9 and a == literal_part(f"a{2 * j}")
+                and oo == literal_part(f"oo{2 * k}")):
+            return literal_row("spiral", f"a{2 * j}", f"o{m}", f"xx{2 * k}")
+    return None
+
+
 def test_whole_game_exceptions():
     assert pick("a8 + a2").rule_id == "1a"
     assert pick("a8 + a2").result == norm("xxo + a4 + a2")
@@ -233,11 +246,11 @@ def test_row_clobbers_match_a_literal_filter():
     want += lone
     for a in range(4, 31, 2):
         for oo in range(4, a, 2):
-            row = strategy._spiral_tokens(
-                (literal_part(f"a{a}"), literal_part(f"oo{oo}")))
+            parts = (literal_part(f"a{a}"), literal_part(f"oo{oo}"))
+            row = literal_spiral_row(parts)
+            assert strategy._spiral_row(parts) == row, parts
             if row is not None:
-                assert strategy._form(*row[2]) == literal_form(row[2])
-                want.append(literal_row(*row[:2], *row[2]))
+                want.append(row)
     kinds = {rule_id for rule_id, _, _ in want}
     assert {"1a", "4b", "3b", "7b", "1d", "6a", "spiral"} <= kinds
     for rule_id, part, form in want:
@@ -314,8 +327,8 @@ def test_row_lookup_matches_the_literal_scan(monkeypatch):
 
 
 def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
-    spiral = strategy._spiral_tokens(g.parts) if ruleset is Ruleset.IMPROVED else None
-    row = literal_row(*spiral[:2], *spiral[2]) if spiral else literal_rule_row(g)
+    spiral = literal_spiral_row(g.parts) if ruleset is Ruleset.IMPROVED else None
+    row = spiral or literal_rule_row(g)
     chosen = _whole_game_search(g, *row)
     assert chosen is not None, g
     if in_left_target(chosen.result):
