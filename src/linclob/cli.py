@@ -52,10 +52,10 @@ _EXIT_CODES = {
 # Each `check` suite: its check function and the bounds it reads, as
 # (flag, keyword of the function, largest value accepted or None).  A bound
 # that is not given is left to the function's default.  The --max-stones caps
-# keep the worst case within about 10 s (2-vCPU VM, Python 3.11): theorem-*
+# keep the worst case within about 15 s (2-vCPU VM, Python 3.11): theorem-*
 # enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
 # u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
-# solves every start of up to max-stones stones (44: 7.0-8.5 s, 89 MiB).
+# solves every start of up to max-stones stones (48: 15 s, 67 MiB).
 _SUITES = {
     "asf": (check_asf_soundness, ()),
     "theorem-right": (check_theorem_right,
@@ -65,7 +65,7 @@ _SUITES = {
                      (("--max-stones", "max_stones", 40),
                       ("--max-parts", "max_parts", None))),
     "u-closure": (check_u_closure, (("--max-stones", "max_stones", 120),)),
-    "conjecture": (check_conjecture, (("--max-stones", "max_stones", 44),)),
+    "conjecture": (check_conjecture, (("--max-stones", "max_stones", 48),)),
 }
 
 _BOUND_HELP = {

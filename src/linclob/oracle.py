@@ -39,14 +39,16 @@ class SolveCache:
     A position is its sorted tuple of parts.  Right to move on g is looked
     up as Left to move on -g, so g and -g share one key; a self-negative
     game such as a(2n) or g + (-g) answers its Right-first solve from the
-    Left-first one.  `order` is "fast" (children sorted by (the move's
-    change in stones, parts), smallest first; usually fewer nodes) or
-    "counted" (Left's moves in the game-core scan order on the node's parts,
-    the reference that the tests check against a literal search).  Both give
-    the same answers.  A node's children are built from `_moves`, each
-    part's cached Left moves with their pieces already negated and their
-    change in stones, so no order re-reads the clobber tables or sums part
-    lengths.  `table` is read only through `.get` and item assignment.
+    Left-first one.  `order` is "fast" (children sorted by the opponent's
+    mobility, the number of Left moves on the stored child, fewest first,
+    ties by the child; and a node with a child already stored as lost is
+    won without a search, an enhanced transposition cutoff) or "counted"
+    (Left's moves in the game-core scan order on the node's parts, no
+    cutoff: the reference that the tests check against a literal search).
+    Both give the same answers.  A node's children are built from `_moves`,
+    each part's cached Left moves with their pieces already negated, so no
+    order re-reads the clobber tables.  `table` is read only through `.get`
+    and item assignment.
     """
 
     max_stones: int = DEFAULT_MAX_STONES
@@ -65,19 +67,29 @@ def wins_moving_first(g: Game, player: str, cache: SolveCache) -> bool:
 
 def _solve(parts: tuple[str, ...], cache: SolveCache) -> bool:
     """True iff Left, moving first on `parts`, wins."""
-    hit = cache.table.get(parts)
+    table = cache.table
+    hit = table.get(parts)
     if hit is not None:
         return hit
     children = _children(parts)
     if cache.order == "fast":
-        children.sort()  # by (change in stones, child); all are distinct
+        if any(table.get(child) is False for child in children):
+            table[parts] = True  # Right, to move on -child, is known to lose
+            return True
+        children.sort(key=_replies)  # all children are distinct
     result = False
-    for _, child in children:
+    for child in children:
         if not _solve(child, cache):  # Right, to move on -child, loses
             result = True
             break
-    cache.table[parts] = result
+    table[parts] = result
     return result
+
+
+def _replies(child: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The fast order's key: Left's moves on the stored child (the
+    opponent's replies to the move that reaches it), then the child."""
+    return sum(map(len, map(_moves, child))), child
 
 
 def _negative(parts: tuple[str, ...]) -> tuple[str, ...]:
@@ -86,20 +98,18 @@ def _negative(parts: tuple[str, ...]) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _moves(part: str) -> tuple[tuple[tuple[str, ...], int], ...]:
+def _moves(part: str) -> tuple[tuple[str, ...], ...]:
     """Left's moves on the lone part: each distinct clobber's pieces once,
-    negated, in `clobbers` scan order, with the change in stone count."""
-    moves: dict[tuple[str, ...], int] = {}
-    for (f, _), pieces in clobbers(part).items():
-        if part[f - 1] == BLACK:
-            moves[_negative(pieces)] = sum(map(len, pieces)) - len(part)
-    return tuple(moves.items())
+    negated, in `clobbers` scan order."""
+    return tuple(dict.fromkeys(
+        _negative(pieces) for (f, _), pieces in clobbers(part).items()
+        if part[f - 1] == BLACK))
 
 
-def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+def _children(parts: tuple[str, ...]) -> list[tuple[str, ...]]:
     """The negatives of the distinct positions Left reaches in one move, in
-    move order, each with the move's change in stones.  No two parts reach
-    one position: moving on p leaves one p fewer, elsewhere no fewer."""
+    move order.  No two parts reach one position: moving on p leaves one p
+    fewer, elsewhere no fewer."""
     negated = _negative(parts)
     children = []
     for i, part in enumerate(parts):
@@ -107,8 +117,7 @@ def _children(parts: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
             continue  # a copy of a part reaches the same positions again
         j = negated.index(negative(part))
         rest = negated[:j] + negated[j + 1:]
-        for pieces, delta in _moves(part):
-            children.append((delta, tuple(sorted(rest + pieces))))
+        children.extend(tuple(sorted(rest + pieces)) for pieces in _moves(part))
     return children
 
 

@@ -426,10 +426,11 @@ def test_check_rejects_huge_max_stones_before_any_work(capsys):
                 "--max-parts", "3"]) == 2
     assert run(["check", "theorem-left", "--max-stones", "41"]) == 2
     assert run(["check", "conjecture", "--max-stones", "100"]) == 2
+    assert run(["check", "conjecture", "--max-stones", "49"]) == 2
     assert time.perf_counter() - begin < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("cap") == 4
+    assert captured.err.count("cap") == 5
     # the cap itself is accepted
     assert run(["check", "theorem-left", "--max-stones", "40",
                 "--max-parts", "1"]) == 0

@@ -13,6 +13,7 @@ from linclob.oracle import (
     BudgetExceeded, OutcomeClass, SolveCache, equivalent, outcome,
     wins_moving_first,
 )
+from linclob.taxonomy import enumerate_s_games
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +50,28 @@ def test_budget_enforced():
         wins_moving_first(parse_position("oxoxo"), BLACK, tight)
 
 
-def test_orders_agree(cache):
-    counted = SolveCache(order="counted")
-    for text in ("a4", "oxoxo", "oo6", "xxo + a2", "oo5oo + ox"):
-        g = parse_position(text)
-        assert outcome(g, counted) == outcome(g, cache)
+def test_orders_agree():
+    # Every S game of up to 16 stones and 3 parts, a few other games and
+    # a2..a24, for both players: the fast order's mobility sort and its
+    # cutoff at a child stored as lost give the counted order's answers,
+    # which a literal search checks.
+    fast, counted = SolveCache(order="fast"), SolveCache(order="counted")
+    starts = list(enumerate_s_games(16, 3))
+    starts += [parse_position(text) for text in
+               ("oxoxo", "oo6", "xxo + a2", "oo5oo + ox")]
+    starts += [parse_position(f"a{n}") for n in range(2, 25, 2)]
+    for g in starts:
+        for player in (BLACK, WHITE):
+            assert (wins_moving_first(g, player, fast)
+                    == wins_moving_first(g, player, counted)), (g.parts, player)
 
 
 def test_node_counts_per_order():
-    # Memo sizes pin the move order, the dedupe of the children and the
-    # Left-to-move keys.
-    expected = {"a8": (10, 5), "oo7 + a2": (17, 10), "oo5oo + ox": (6, 6),
-                "xxo + a4 + o5": (48, 41), "a12": (95, 48),
-                "a24": (3498, 1472)}
+    # Memo sizes pin the move order, the fast order's cutoff, the dedupe of
+    # the children and the Left-to-move keys.
+    expected = {"a8": (10, 5), "oo7 + a2": (17, 11), "oo5oo + ox": (6, 7),
+                "xxo + a4 + o5": (48, 35), "a12": (95, 45),
+                "a24": (3498, 683)}
     for text, sizes in expected.items():
         got = []
         for order in ("counted", "fast"):
