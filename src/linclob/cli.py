@@ -55,7 +55,8 @@ _EXIT_CODES = {
 # keep the worst case within about 15 s (2-vCPU VM, Python 3.11): theorem-*
 # enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
 # u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
-# solves every start of up to max-stones stones (48: 15 s, 67 MiB).
+# solves every start of up to max-stones stones on one memo (48: 12 s, 79 MiB;
+# the time scaled to `perfbench/calibrate.py`'s reference speed).
 _SUITES = {
     "asf": (check_asf_soundness, ()),
     "theorem-right": (check_theorem_right,
@@ -234,13 +235,14 @@ def _verify(args) -> int:
     if args.stop > MAX_START_STONES:
         raise UsageError(f"--to {args.stop} is over the {MAX_START_STONES}-stone cap")
     starts = [s for s in range(max(args.start, 4), args.stop + 1) if s % 2 == 0]
+    why = "starts are even and at least 4 stones"
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
               file=sys.stderr)
         starts.remove(6)
+        why = "the 6-stone start is skipped"
     if not starts:
-        raise UsageError(f"no even start of at least 4 stones in "
-                         f"{args.start}..{args.stop}")
+        raise UsageError(f"no start to verify in {args.start}..{args.stop} ({why})")
     # Open the CSV before the search, so a path that cannot be written
     # fails at once instead of after the whole range.  Appending truncates
     # nothing: an earlier CSV survives a run that ends in an error, and a

@@ -5,20 +5,21 @@ question for Right: Left wins iff no Left node that Right's replies reach is
 the empty game.  A range of starts is one pass.  Every normalized move
 strictly lowers `asf.potential`, so the pass expands pending nodes from the
 highest potential down: a node's parents all come first, and each node is
-expanded once and then dropped.  Each pending node carries the bitmask of
-the starts that reach it.  A Left node goes to its strategy child; a Right
-node goes to each of its distinct children (`asf.normalized_children`),
-except in LL, the certified endgames, which are leaves.  A start's node
-counts are the expanded nodes whose mask holds its bit.
-`check_theorem_right` walks each part's move table (`asf.part_successors`)
-itself, to name every Right move that fails.
+expanded once and then dropped.  No node reaches another of its own
+potential, so one loop expands a layer's Left and Right nodes in any order.
+Each pending node carries the bitmask of the starts that reach it.  A Left
+node goes to its strategy child; a Right node goes to each of its distinct
+children (`asf.normalized_children`), except in LL, the certified endgames,
+which are leaves.  A start's node counts are the expanded nodes whose mask
+holds its bit.  `check_theorem_right` walks each part's move table
+(`asf.part_successors`) itself, to name every Right move that fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip, is_monochromatic,
@@ -68,7 +69,8 @@ def _left_node(parts: Parts, ruleset: Ruleset) -> Parts | None:
 def _search(roots: list[Parts], ruleset: Ruleset) -> tuple[int, Counter, Counter]:
     """One pass from the Left roots, root i owning bit i: the mask of the
     roots that reach the empty game with Left to move, and the numbers of
-    expanded Left and Right nodes by the mask of the roots reaching them."""
+    expanded Left and Right nodes by the mask of the roots reaching them.
+    Each potential layer is one loop over its sides' pending parts."""
     # Per side, Left then Right: pending parts -> mask, and expanded nodes
     # by mask.  Per potential: each side's pending parts.
     pending: tuple[dict, dict] = ({}, {})
@@ -83,31 +85,24 @@ def _search(roots: list[Parts], ruleset: Ruleset) -> tuple[int, Counter, Counter
             nodes[parts] = mask
             layers[potential(parts)][side].append(parts)
 
-    def expand(side: int, layer: list) -> Iterator[tuple[Parts, int]]:
-        for parts in layer:
-            mask = pending[side].pop(parts)
-            counts[side][mask] += 1
-            yield parts, mask
-
     for i, root in enumerate(roots):
         reach(0, root, 1 << i)
     lost = 0
     for level in range(max(layers, default=0), -1, -1):
-        if level not in layers:
-            continue
-        left, right = layers.pop(level)
-        for parts, mask in expand(0, left):
-            child = _left_node(parts, ruleset)
-            if child is None:
-                lost |= mask
-            else:
-                reach(1, child, mask)
-        for parts, mask in expand(1, right):
-            # the oracle certifies each LL game a Left win with either
-            # player to move, so the pass stops there
-            if not in_LL(Game(parts)):
-                for _, _, child in normalized_children(parts, WHITE):
-                    reach(0, child, mask)
+        for side, layer in enumerate(layers.pop(level, ())):
+            for parts in layer:
+                mask = pending[side].pop(parts)
+                counts[side][mask] += 1
+                if side == 1:
+                    # the oracle certifies each LL game a Left win with
+                    # either player to move, so the pass stops there
+                    if not in_LL(Game(parts)):
+                        for _, _, child in normalized_children(parts, WHITE):
+                            reach(0, child, mask)
+                elif (child := _left_node(parts, ruleset)) is None:
+                    lost |= mask
+                else:
+                    reach(1, child, mask)
     return lost, *counts
 
 
@@ -170,11 +165,12 @@ def check_conjecture(max_stones: int = DEFAULT_MAX_STONES) -> TheoremReport:
     """The paper's conjecture by the oracle: every even alternating start of
     at most `max_stones` stones is a first-player win, except a6, which the
     first mover loses.  a(2n) is its own negative, so one first-mover solve
-    on a fresh memo decides each start."""
+    decides each start; every solve shares one memo."""
     report = TheoremReport("FirstPlayerWins", 0)
+    cache = SolveCache(max_stones=max_stones)
     for stones in range(2, max_stones + 1, 2):
         g = Game.of([alternating(stones, "o")])
-        wins = wins_moving_first(g, BLACK, SolveCache(max_stones=max_stones))
+        wins = wins_moving_first(g, BLACK, cache)
         report.instances_checked += 1
         if wins != (stones != 6):
             report.failures.append((f"a{stones}", "N" if wins else "P"))

@@ -246,8 +246,12 @@ def test_verify_skips_six_and_writes_csv(tmp_path, capsys):
 
 def test_verify_rejects_runs_that_check_nothing(capsys):
     assert run(["verify", "--from", "8", "--to", "4"]) == 2
-    assert run(["verify", "--from", "6", "--to", "6"]) == 2
     assert "error:" in capsys.readouterr().err
+    # the only start in range is the skipped one, and the error says so
+    assert run(["verify", "--from", "6", "--to", "6"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: skipping the 6-stone start (the conjecture's exception)",
+        "error: no start to verify in 6..6 (the 6-stone start is skipped)"]
 
 
 def test_verify_rejects_huge_starts_before_building_them(capsys):

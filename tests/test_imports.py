@@ -69,3 +69,56 @@ def test_a_reference_that_reads_the_fast_path_is_found():
               "    return _part_form(g)\n")
     assert fast_path_reads(source) == ["apply_once: add_form",
                                        "apply_once: negative"]
+
+
+# Each module and the package modules it may import: the oracle, the ground
+# truth, stands beside the rewriter on `core` alone, and the verifier and the
+# command line sit on top.
+_LAYERS = {
+    "core": set(),
+    "asf": {"core"},
+    "oracle": {"core"},
+    "taxonomy": {"core", "asf"},
+    "strategy": {"core", "asf", "taxonomy"},
+    "verifier": {"core", "asf", "taxonomy", "strategy", "oracle"},
+    "cli": {"core", "asf", "taxonomy", "strategy", "oracle", "verifier"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that a module's source imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "linclob"):
+            module = (node.module or "").removeprefix("linclob").lstrip(".")
+            imported.update([module] if module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("linclob.")
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "linclob")
+    return imported
+
+
+def layer_violations(sources: dict[str, str]) -> list[str]:
+    """Each `module imports name` that `_LAYERS` does not allow."""
+    return [f"{module} imports {name}" for module, source in sources.items()
+            for name in sorted(package_imports(source) - _LAYERS[module])]
+
+
+def test_every_module_imports_only_the_layers_below_it():
+    sources = {path.stem: path.read_text() for path in _SOURCES
+               if path.name != "__init__.py"}
+    assert set(sources) == set(_LAYERS)
+    assert layer_violations(sources) == []
+
+
+def test_an_import_against_the_layers_is_found():
+    sources = {"core": "from .asf import normalize\n",
+               "oracle": ("from . import core, taxonomy\n"
+                          "import linclob.strategy\n"
+                          "from linclob.core import Game\n")}
+    assert layer_violations(sources) == ["core imports asf",
+                                         "oracle imports strategy",
+                                         "oracle imports taxonomy"]

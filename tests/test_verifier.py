@@ -14,8 +14,8 @@ from linclob.taxonomy import (
     SClass, enumerate_s_games, in_left_target, s_class, u_parts,
 )
 from linclob.verifier import (
-    check_asf_soundness, check_theorem_left, check_theorem_right,
-    check_u_closure, verify_range, verify_start,
+    check_asf_soundness, check_conjecture, check_theorem_left,
+    check_theorem_right, check_u_closure, verify_range, verify_start,
 )
 
 
@@ -296,3 +296,18 @@ def test_asf_soundness_report():
     report = check_asf_soundness()
     # five beta samples and each listed left side of the other twelve rules
     assert report.ok and report.instances_checked == 33
+
+
+def test_conjecture_solves_every_start_on_one_memo(monkeypatch):
+    built = []
+
+    class RecordingCache(SolveCache):
+        def __init__(self, **bounds):
+            super().__init__(**bounds)
+            built.append(self)
+
+    monkeypatch.setattr(verifier, "SolveCache", RecordingCache)
+    report = check_conjecture(28)
+    assert report.ok and report.instances_checked == 14
+    # a2..a28 on fresh memos store 4,456 keys in all
+    assert len(built) == 1 and len(built[0].table) == 2339
