@@ -19,7 +19,8 @@ from .core import (
 )
 from .asf import normalize, normalize_trace
 from .oracle import (
-    DEFAULT_MAX_STONES, BudgetExceeded, SolveCache, equivalent, outcome,
+    DEFAULT_MAX_STONES, MAX_STONES, BudgetExceeded, SolveCache, equivalent,
+    outcome,
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, choose_left_move, require_scope,
@@ -27,7 +28,7 @@ from .strategy import (
 from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
 from .verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
-    check_theorem_right, check_u_closure, verify_range, MAX_START_STONES,
+    check_theorem_right, check_u_closure, verify_range,
 )
 
 EXIT_OK = 0
@@ -52,11 +53,11 @@ _EXIT_CODES = {
 # Each `check` suite: its check function and the bounds it reads, as
 # (flag, keyword of the function, largest value accepted or None).  A bound
 # that is not given is left to the function's default.  The --max-stones caps
-# keep the worst case within about 15 s (2-vCPU VM, Python 3.11): theorem-*
-# enumerate every S game of up to max-stones // 2 parts (40: 7.6 s),
-# u-closure builds every U part's move table (120: 2.4 s, 38 MiB), conjecture
-# solves every start of up to max-stones stones on one memo (48: 12 s, 79 MiB;
-# the time scaled to `perfbench/calibrate.py`'s reference speed).
+# keep the worst case within about 15 s (2-vCPU VM, Python 3.11, times scaled
+# to `perfbench/calibrate.py`'s reference speed): theorem-* enumerate every
+# S game of up to max-stones // 2 parts (40: 5.1 s), u-closure builds every U
+# part's move table (120: 0.2 s, 16 MiB), conjecture solves every start of up
+# to max-stones stones on one memo (48: 12 s, 80 MiB).
 _SUITES = {
     "asf": (check_asf_soundness, ()),
     "theorem-right": (check_theorem_right,
@@ -97,8 +98,8 @@ def _parser() -> argparse.ArgumentParser:
                                   description="Linear clobber toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
     fmt = {"choices": ["stones", "short"], "default": "short"}
-    budget = {"type": _bound(MAX_START_STONES), "default": DEFAULT_MAX_STONES,
-              "help": f"{_BOUND_HELP['--budget']} (at most {MAX_START_STONES})"}
+    budget = {"type": _bound(MAX_STONES), "default": DEFAULT_MAX_STONES,
+              "help": f"{_BOUND_HELP['--budget']} (at most {MAX_STONES})"}
     ruleset = {"choices": [r.value for r in Ruleset],
                "default": Ruleset.BASIC.value}
 
@@ -177,7 +178,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "normalize":
-        g = parse_position(args.position, MAX_START_STONES)
+        g = parse_position(args.position, MAX_STONES)
         fixpoint, trace = normalize_trace(g)
         if args.trace:
             for rule_name, step in trace:
@@ -186,7 +187,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "classify":
-        g = normalize(parse_position(args.position, MAX_START_STONES))
+        g = normalize(parse_position(args.position, MAX_STONES))
         print(f"normalized={format_game(g, args.format)}")
         for p in g.parts:
             print(f"part={p} classes={','.join(sorted(classify_part(p)))}")
@@ -200,7 +201,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "moves":
-        g = parse_position(args.position, MAX_START_STONES)
+        g = parse_position(args.position, MAX_STONES)
         player = BLACK if args.player == "L" else WHITE
         for m in legal_moves(g, player):
             print(f"part={g.parts[m.part_index]} "
@@ -208,7 +209,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "best":
-        g = normalize(parse_position(args.position, MAX_START_STONES))
+        g = normalize(parse_position(args.position, MAX_STONES))
         require_scope(g)
         sm = choose_left_move(g, Ruleset(args.ruleset))
         print(f"rule={sm.rule_id} part={g.parts[sm.move.part_index]} "
@@ -232,10 +233,11 @@ def _dispatch(args) -> int:
 
 
 def _verify(args) -> int:
-    if args.stop > MAX_START_STONES:
-        raise UsageError(f"--to {args.stop} is over the {MAX_START_STONES}-stone cap")
+    if args.stop > MAX_STONES:
+        raise UsageError(f"--to {args.stop} is over the {MAX_STONES}-stone cap")
     starts = [s for s in range(max(args.start, 4), args.stop + 1) if s % 2 == 0]
-    why = "starts are even and at least 4 stones"
+    why = ("--from is above --to" if args.start > args.stop
+           else "starts are even and at least 4 stones")
     if 6 in starts:
         print("warning: skipping the 6-stone start (the conjecture's exception)",
               file=sys.stderr)

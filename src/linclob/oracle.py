@@ -24,6 +24,11 @@ from .core import (
 
 DEFAULT_MAX_STONES = 26
 
+# The cap on a position's stones.  The search takes one frame per ply and
+# each ply captures a stone, so n stones need n frames plus a few dozen, and
+# 500 fits Python's default recursion limit of 1000.
+MAX_STONES = 500
+
 
 class OutcomeClass(Enum):
     P = "P"  # previous player wins (first mover loses)
@@ -32,7 +37,7 @@ class OutcomeClass(Enum):
     R = "R"  # Right wins regardless
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveCache:
     """Memo table mapping a position with Left to move -> Left wins.
 
@@ -48,12 +53,19 @@ class SolveCache:
     Both give the same answers.  A node's children are built from `_moves`,
     each part's cached Left moves with their pieces already negated, so no
     order re-reads the clobber tables.  `table` is read only through `.get`
-    and item assignment.
+    and item assignment.  A `max_stones` over MAX_STONES raises
+    BudgetExceeded when the cache is built, and the fields are frozen, so no
+    cache searches past the cap.
     """
 
     max_stones: int = DEFAULT_MAX_STONES
     order: str = "fast"
     table: dict[tuple[str, ...], bool] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.max_stones > MAX_STONES:
+            raise BudgetExceeded(f"budget of {self.max_stones} stones exceeds "
+                                 f"the {MAX_STONES}-stone cap")
 
 
 def wins_moving_first(g: Game, player: str, cache: SolveCache) -> bool:

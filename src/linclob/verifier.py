@@ -28,17 +28,13 @@ from .asf import (
     Parts, add_form, normalize, normalized_children, part_successors, potential,
     rule_table,
 )
-from .oracle import DEFAULT_MAX_STONES, SolveCache, equivalent, wins_moving_first
+from .oracle import (
+    DEFAULT_MAX_STONES, MAX_STONES, SolveCache, equivalent, wins_moving_first,
+)
 from .strategy import Ruleset, StrategyGap, choose_left_move, left_child
 from .taxonomy import (
     SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
 )
-
-# The cap on a position's stones.  Only the oracle recurses: it takes one
-# frame per ply and each ply captures a stone, so n stones need n frames plus
-# a few dozen, and 500 fits Python's default limit of 1000.  The verifier's
-# pass does not recurse, but its starts keep the same cap.
-MAX_START_STONES = 500
 
 
 @dataclass
@@ -116,9 +112,9 @@ def verify_range(starts: Iterable[int],
     """Verify the starts in one pass; each start's counts are its own."""
     starts = list(starts)
     for stones in starts:
-        if stones < 4 or stones % 2 or stones == 6 or stones > MAX_START_STONES:
+        if stones < 4 or stones % 2 or stones == 6 or stones > MAX_STONES:
             raise ValueError(f"start must be even, >= 4, not 6 and at most "
-                             f"{MAX_START_STONES}; got {stones}")
+                             f"{MAX_STONES}; got {stones}")
     roots = [normalize(Game.of([alternating(s, "o")])).parts for s in starts]
     lost, left, right = _search(roots, ruleset)
 
@@ -208,7 +204,8 @@ def check_u_closure(max_stones: int = 15) -> TheoremReport:
     reach_stones = min(12, max_stones)
     report = TheoremReport("UClosure", 0)
     for u in u_parts(max_stones):
-        for pieces in clobbers(u).values():
+        # uncached: the cache would keep every table for the process's life
+        for pieces in clobbers.__wrapped__(u).values():
             report.instances_checked += 1
             for piece in pieces:
                 if not in_U(piece):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from linclob import cli, verifier
+from linclob import cli, oracle, verifier
 from linclob.cli import run
 from linclob.core import BudgetExceeded, EmptyPosition, ParseError
 from linclob.strategy import NotInScope, StrategyGap
@@ -246,7 +246,8 @@ def test_verify_skips_six_and_writes_csv(tmp_path, capsys):
 
 def test_verify_rejects_runs_that_check_nothing(capsys):
     assert run(["verify", "--from", "8", "--to", "4"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no start to verify in 8..4 (--from is above --to)"]
     # the only start in range is the skipped one, and the error says so
     assert run(["verify", "--from", "6", "--to", "6"]) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -541,6 +542,21 @@ def test_readme_lists_every_verb_suite_and_flag():
         assert len(lines) == 1, words
         named = re.findall(r"--[\w-]+", " ".join(lines[0]))
         assert set(_flags(parser)) <= set(named), words
+
+
+def test_readme_states_each_check_cap():
+    # the caps paragraph states each suite's --max-stones cap and the
+    # oracle's stone cap, so a cap changed in code alone fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = " ".join(next(p for p in readme.split("\n\n")
+                              if "above a suite's cap" in p).split())
+    for suite, (_, reads) in cli._SUITES.items():
+        name = "theorem-*" if suite.startswith("theorem-") else suite
+        for flag, _, cap in reads:
+            if flag == "--max-stones":
+                assert f"{cap} for `{name}`" in paragraph, suite
+    assert (f"The {oracle.MAX_STONES}-stone cap (`oracle.MAX_STONES`)"
+            in paragraph)
 
 
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):

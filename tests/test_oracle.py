@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,19 @@ def test_budget_enforced():
     tight = SolveCache(max_stones=4)
     with pytest.raises(BudgetExceeded):
         wins_moving_first(parse_position("oxoxo"), BLACK, tight)
+
+
+def test_the_cache_refuses_a_budget_over_the_cap():
+    # the search takes one frame per ply, so a cache for more than 500
+    # stones is refused before it can overflow the recursion limit
+    with pytest.raises(BudgetExceeded, match="500-stone cap"):
+        SolveCache(max_stones=501)
+    # 250 copies of ox (each a *) sum to 0: the first mover loses after
+    # every one of the 250 plies is played
+    cache = SolveCache(max_stones=500)
+    assert not wins_moving_first(Game.of(["ox"] * 250), BLACK, cache)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cache.max_stones = 1000
 
 
 def test_orders_agree():

@@ -5,7 +5,8 @@ import pytest
 
 from linclob import cli, verifier
 from linclob.core import (
-    BLACK, WHITE, Game, alternating, apply_move, legal_moves, parse_position,
+    BLACK, WHITE, Game, alternating, apply_move, clobbers, legal_moves,
+    parse_position,
 )
 from linclob.asf import RewriteRule, normalize, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
@@ -254,6 +255,14 @@ def test_u_closure_small():
     for max_stones, instances in ((15, 975), (10, 393)):
         report = check_u_closure(max_stones)
         assert (report.instances_checked, report.failures) == (instances, []), max_stones
+
+
+def test_u_closure_leaves_the_u_move_tables_uncached():
+    # the closure loop builds each U part's table without caching it, so
+    # only the reachability loop's tables of small parts stay
+    clobbers.cache_clear()
+    check_u_closure(40)
+    assert clobbers.cache_info().currsize < len(u_parts(40))
 
 
 def test_u_closure_has_no_false_failures_for_any_reach():
