@@ -8,7 +8,8 @@ the sum of squared part sizes, so iteration terminates.
 rewriter.  Because every rule but beta rewrites a single part, `normalize`
 reaches the same fixpoint part by part: it takes each part's memoized normal
 form (computed once by the literal rewriter) and adds those forms' parts to
-the empty game with `add_form`.
+the empty game with `add_form`.  When that sum is the game's own parts, the
+game is already in standard form and `normalize` returns it, not a copy.
 
 `add_form` states the cancel rule once: each new part cancels one copy of
 its negative if one is present, and is otherwise inserted in order.  A game
@@ -113,8 +114,10 @@ def apply_once(g: Game) -> tuple[RewriteRule, Game] | None:
 
 
 def normalize(g: Game) -> Game:
-    """The standard form of g: the fixpoint of apply_once, built per part."""
-    return Game(add_form((), [q for p in g.parts for q in _part_form(p)]))
+    """The standard form of g: the fixpoint of apply_once, built per part;
+    g itself when it is already in standard form."""
+    parts = add_form((), [q for p in g.parts for q in _part_form(p)])
+    return g if parts == g.parts else Game(parts)
 
 
 @lru_cache(maxsize=None)

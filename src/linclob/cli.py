@@ -55,9 +55,10 @@ _EXIT_CODES = {
 # that is not given is left to the function's default.  The --max-stones caps
 # keep the worst case within about 15 s (2-vCPU VM, Python 3.11, times scaled
 # to `perfbench/calibrate.py`'s reference speed): theorem-* enumerate every
-# S game of up to max-stones // 2 parts (40: 5.1 s), u-closure builds every U
-# part's move table (120: 0.2 s, 16 MiB), conjecture solves every start of up
-# to max-stones stones on one memo (48: 12 s, 80 MiB).
+# S game of up to max-stones // 2 parts (40: theorem-right 4.8 s,
+# theorem-left 4.4 s), u-closure builds every U part's move table (120:
+# 0.2 s, 16 MiB), conjecture solves every start of up to max-stones stones
+# on one memo (48: 12 s, 80 MiB).
 _SUITES = {
     "asf": (check_asf_soundness, ()),
     "theorem-right": (check_theorem_right,

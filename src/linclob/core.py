@@ -4,6 +4,10 @@ A position is a multiset of *parts* (connected runs of stones on a path).
 Black stones print as ``x``, white as ``o``.  Empty cells are never stored:
 a clobber move splits its part immediately, and any monochromatic piece is
 dropped because it allows no move (it is the zero game).
+
+`clobbers` states the move rule once, as one cached table per part.
+`legal_moves` copies each part's prebuilt `Move`s out of a second cache,
+keyed by the part's index as well, since a `Move` names its part by index.
 """
 
 from __future__ import annotations
@@ -145,10 +149,21 @@ def _pieces(left: str, right: str) -> tuple[str, ...]:
     return tuple(kept)
 
 
+@lru_cache(maxsize=None)
+def _part_moves(index: int, part: str, player: str) -> tuple[Move, ...]:
+    """The player's moves on `part` at `index` of a game's part tuple, in
+    scan order; the index is in the key because a `Move` names its part."""
+    return tuple(Move(index, f, t) for f, t in clobbers(part)
+                 if part[f - 1] == player)
+
+
 def legal_moves(g: Game, player: str) -> list[Move]:
-    """All moves for `player`, in deterministic (part, from, to) order."""
-    return [Move(i, f, t) for i, part in enumerate(g.parts)
-            for f, t in clobbers(part) if part[f - 1] == player]
+    """All moves for `player`, in deterministic (part, from, to) order, in a
+    fresh list of each part's cached moves."""
+    moves: list[Move] = []
+    for i, part in enumerate(g.parts):
+        moves += _part_moves(i, part, player)
+    return moves
 
 
 def apply_move(g: Game, m: Move) -> Game:

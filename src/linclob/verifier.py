@@ -126,19 +126,25 @@ def verify_range(starts: Iterable[int],
 
 def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:
     """On S1 and S2 games, every Right move must land (normalized) in S0.
-    A part's children are built and classified once per distinct form; each
-    move is one instance, and each move into a child outside S one failure."""
+    A part's children are built and classified once per distinct form, and
+    once for a run of copies of the part, which leave the same rest; each
+    move is one instance, and each move into a child outside S one failure,
+    under the index of the copy it moves on."""
     report = TheoremReport("RightToS0", 0)
     for g in enumerate_s_games(max_stones, max_parts):
         if s_class(g) not in (SClass.S1, SClass.S2):
             continue
+        prev = None
         for i, part in enumerate(g.parts):
-            rest = g.parts[:i] + g.parts[i + 1:]
-            for form, moves in part_successors(part, WHITE).items():
-                h = Game(add_form(rest, form))
-                report.instances_checked += len(moves)
-                if s_class(h) is SClass.NotInS:
-                    report.failures += [(g, Move(i, f, t), h) for f, t in moves]
+            if part != prev:
+                prev, rest = part, g.parts[:i] + g.parts[i + 1:]
+                table = part_successors(part, WHITE)
+                moved = sum(map(len, table.values()))
+                lost = [(moves, h) for form, moves in table.items()
+                        if s_class(h := Game(add_form(rest, form))) is SClass.NotInS]
+            report.instances_checked += moved
+            report.failures += [(g, Move(i, f, t), h)
+                                for moves, h in lost for f, t in moves]
     return report
 
 

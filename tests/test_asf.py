@@ -119,13 +119,26 @@ def _small_parts(max_stones: int) -> list[str]:
                    if not is_monochromatic("".join(cells))})
 
 
+def _normalizes_like_the_reference(g: Game) -> bool:
+    """normalize(g) is g itself when g is in standard form, and otherwise a
+    new game equal to the literal rewriter's standard form."""
+    got, want = normalize(g), normalize_trace(g)[0]
+    return got is g if want == g else got is not g and got == want
+
+
 def test_normalize_matches_literal_reference_on_small_sums():
     # Every sum of at most two parts of 2..8 stones.
     pool = _small_parts(8)
     sums = [Game(())] + [Game((p,)) for p in pool]
     sums += [Game.of([p, q]) for i, p in enumerate(pool) for q in pool[i:]]
-    mismatches = [g for g in sums if normalize(g) != normalize_trace(g)[0]]
+    mismatches = [g for g in sums if not _normalizes_like_the_reference(g)]
     assert mismatches == []
+
+
+def test_normalize_returns_a_standard_form_game_itself():
+    games = list(enumerate_s_games(20, 4))
+    assert len(games) > 400
+    assert [g for g in games if normalize(g) is not g] == []
 
 
 @st.composite
@@ -143,7 +156,7 @@ def sums_with_negatives(draw):
 @given(sums_with_negatives())
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_literal_reference(g):
-    assert normalize(g) == normalize_trace(g)[0]
+    assert _normalizes_like_the_reference(g)
 
 
 def _successors_match_reference(g: Game) -> None:

@@ -316,6 +316,15 @@ def _verify_in_a_process(csv_path, **streams) -> subprocess.CompletedProcess:
         **streams)
 
 
+def test_python_m_linclob_runs_the_command_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "linclob", "solve", "a4"], text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "N\n", "")
+
+
 _CSV_8_TO_10 = ["n,left_nodes,right_nodes", "4,3,3", "5,5,3"]
 _VERDICTS_8_TO_10 = ["n=4 left_wins=True left_nodes=3 right_nodes=3",
                      "n=5 left_wins=True left_nodes=5 right_nodes=3"]

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from linclob.core import (
     BLACK, WHITE, BudgetExceeded, EmptyPosition, Game, IllegalMove, Move,
@@ -123,6 +123,29 @@ def test_clobber_table_matches_a_literal_cell_scan():
         assert list(table) == scan, part
         for (f, t), pieces in table.items():
             assert pieces == _apply_move_reference(g, Move(0, f, t)).parts, part
+
+
+@given(games)
+@example(Game.of(["ox", "oxo"]))  # oxo at index 1 here and at index 0 next
+@example(Game.of(["oxo", "oxox"]))
+@example(Game.of(["ox", "ox", "ox"]))  # copies of a part
+@example(Game.of(["oox", "oxox", "oxox", "oxoxo", "xxo", "oxoxo"]))
+def test_legal_moves_match_a_literal_scan_on_sums(g):
+    # each part's moves come from a cache keyed by the part's index too, so
+    # a part at another index, or a copy of it, names its own index
+    for player in (BLACK, WHITE):
+        assert legal_moves(g, player) == _scan_moves(g, player)
+
+
+def test_legal_moves_returns_a_fresh_list():
+    g = Game.of(["oxo", "oxo", "oxox"])
+    for player in (BLACK, WHITE):
+        moves = legal_moves(g, player)
+        moves.reverse()
+        moves.append(Move(0, 1, 2))
+        assert legal_moves(g, player) == _scan_moves(g, player)
+        moves.clear()
+        assert legal_moves(g, player) == _scan_moves(g, player)
 
 
 def _apply_move_reference(g: Game, m: Move) -> Game:

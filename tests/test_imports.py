@@ -72,8 +72,8 @@ def test_a_reference_that_reads_the_fast_path_is_found():
 
 
 # Each module and the package modules it may import: the oracle, the ground
-# truth, stands beside the rewriter on `core` alone, and the verifier and the
-# command line sit on top.
+# truth, stands beside the rewriter on `core` alone, the verifier and the
+# command line sit on top, and `python -m linclob` runs the command line.
 _LAYERS = {
     "core": set(),
     "asf": {"core"},
@@ -82,6 +82,7 @@ _LAYERS = {
     "strategy": {"core", "asf", "taxonomy"},
     "verifier": {"core", "asf", "taxonomy", "strategy", "oracle"},
     "cli": {"core", "asf", "taxonomy", "strategy", "oracle", "verifier"},
+    "__main__": {"cli"},
 }
 
 

@@ -8,7 +8,7 @@ from linclob.core import (
     BLACK, WHITE, Game, alternating, apply_move, clobbers, legal_moves,
     parse_position,
 )
-from linclob.asf import RewriteRule, normalize, rule_table
+from linclob.asf import RewriteRule, normalize, part_successors, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
 from linclob.strategy import Ruleset, left_child
 from linclob.taxonomy import (
@@ -226,6 +226,21 @@ def test_theorem_right_reports_every_move_into_a_child_outside_s(monkeypatch, ca
     assert cli.run(["check", "theorem-right", "--max-stones", "14",
                     "--max-parts", "3"]) == 1
     assert "failures=15" in capsys.readouterr().out
+
+
+def test_theorem_right_builds_a_copy_s_children_once(monkeypatch):
+    # the second oxoxo leaves the same rest as the first, so its children
+    # are not built again; its moves still count, under its own index
+    g = Game(("oxoxo", "oxoxo"))
+    assert s_class(g) in (SClass.S1, SClass.S2)
+    monkeypatch.setattr(verifier, "enumerate_s_games", lambda *bounds: [g])
+    built = []
+    real = verifier.add_form
+    monkeypatch.setattr(verifier, "add_form",
+                        lambda rest, form: built.append(form) or real(rest, form))
+    report = check_theorem_right()
+    assert built == list(part_successors("oxoxo", WHITE))
+    assert report.instances_checked == len(legal_moves(g, WHITE)) == 8
 
 
 def test_theorem_left_small():
