@@ -20,11 +20,11 @@ is `add_form` of the other parts and the standard form of the move's pieces.
 Each part has one cached move table per player (`part_successors`): each
 distinct standard form of the pieces its clobbers leave, mapped to those
 clobbers.  `normalized_children` builds each child a search needs that way,
-once, with the first clobber that reaches it: one per form in each part's
-table (no two parts share a child), and nothing for a copy of the part
-before it, which has the same children.  The
-oracle uses neither: it stays on raw moves, so that it remains independent
-of the rewriter.
+once, with the clobbers on the part that reach it: one per form in each
+part's table (no two parts share a child), and nothing for a copy of the
+part before it, which has the same children.  The verifier's pass and its
+Right theorem check both read it.  The oracle uses neither: it stays on raw
+moves, so that it remains independent of the rewriter.
 """
 
 from __future__ import annotations
@@ -158,21 +158,20 @@ def part_successors(part: str, player: str
 def normalized_children(parts: Parts, player: str) -> Iterator[tuple]:
     """Each distinct child of the player's moves on the standard-form
     `parts`, in standard form, once, in `legal_moves` first-occurrence order,
-    as (part index, first clobber (from, to) to it, child): the rest of the
-    game plus each form of the moved part's table.  A copy of the part before
-    it is skipped: the parts are sorted, so copies are adjacent, and a copy
-    has the same children.  Distinct forms of one part give distinct
-    children, and so do distinct parts p and q: a move on p leaves one copy
-    of p fewer, as its form holds only smaller parts, and a move on q changes
-    the copies of p only if p is smaller than q."""
-    prev = None
+    as (part index, the clobbers (from, to) on that part that reach it,
+    child): the rest of the game plus each form of the moved part's table.
+    A copy of the part before it is skipped: the parts are sorted, so copies
+    are adjacent, and a copy has the same children by the same clobbers.
+    Distinct forms of one part give distinct children, and so do distinct
+    parts p and q: a move on p leaves one copy of p fewer, as its form holds
+    only smaller parts, and a move on q changes the copies of p only if p is
+    smaller than q."""
     for i, part in enumerate(parts):
-        if part == prev:
+        if i and part == parts[i - 1]:
             continue
-        prev = part
         rest = parts[:i] + parts[i + 1:]
         for form, moves in part_successors(part, player).items():
-            yield i, moves[0], add_form(rest, form)
+            yield i, moves, add_form(rest, form)
 
 
 def normalize_trace(g: Game) -> tuple[Game, list[tuple[str, Game]]]:

@@ -112,9 +112,9 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
     move, child = (i, *hits[0]), add_form(parts[:i] + parts[i + 1:], form)
     if in_left_target(Game(child)):
         return rule_id, move, child
-    for j, (f, t), reached in normalized_children(parts, BLACK):
+    for j, moves, reached in normalized_children(parts, BLACK):
         if in_left_target(Game(reached)):
-            return rule_id + "-fallback", (j, f, t), reached
+            return rule_id + "-fallback", (j, *moves[0]), reached
     return rule_id, move, child
 
 

@@ -11,8 +11,8 @@ Each pending node carries the bitmask of the starts that reach it.  A Left
 node goes to its strategy child; a Right node goes to each of its distinct
 children (`asf.normalized_children`), except in LL, the certified endgames,
 which are leaves.  A start's node counts are the expanded nodes whose mask
-holds its bit.  `check_theorem_right` walks each part's move table
-(`asf.part_successors`) itself, to name every Right move that fails.
+holds its bit.  `check_theorem_right` reads the same Right children, with
+the clobbers that reach each, to name every Right move that fails.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ from typing import Iterable
 from .core import (
     BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip, is_monochromatic,
 )
-from .asf import (
-    Parts, add_form, normalize, normalized_children, part_successors, potential,
-    rule_table,
-)
+from .asf import Parts, normalize, normalized_children, potential, rule_table
 from .oracle import (
     DEFAULT_MAX_STONES, MAX_STONES, SolveCache, equivalent, wins_moving_first,
 )
@@ -126,25 +123,21 @@ def verify_range(starts: Iterable[int],
 
 def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:
     """On S1 and S2 games, every Right move must land (normalized) in S0.
-    A part's children are built and classified once per distinct form, and
-    once for a run of copies of the part, which leave the same rest; each
-    move is one instance, and each move into a child outside S one failure,
-    under the index of the copy it moves on."""
+    The children are the pass's own (`normalized_children`): each is built
+    and classified once, for the first of a part's c copies, which all
+    reach it by the same clobbers.  Each move is one instance, and each
+    move into a child outside S one failure, in `legal_moves` order."""
     report = TheoremReport("RightToS0", 0)
     for g in enumerate_s_games(max_stones, max_parts):
         if s_class(g) not in (SClass.S1, SClass.S2):
             continue
-        prev = None
-        for i, part in enumerate(g.parts):
-            if part != prev:
-                prev, rest = part, g.parts[:i] + g.parts[i + 1:]
-                table = part_successors(part, WHITE)
-                moved = sum(map(len, table.values()))
-                lost = [(moves, h) for form, moves in table.items()
-                        if s_class(h := Game(add_form(rest, form))) is SClass.NotInS]
-            report.instances_checked += moved
-            report.failures += [(g, Move(i, f, t), h)
-                                for moves, h in lost for f, t in moves]
+        failures = []
+        for i, moves, child in normalized_children(g.parts, WHITE):
+            copies = range(i, i + g.parts.count(g.parts[i]))
+            report.instances_checked += len(moves) * len(copies)
+            if s_class(h := Game(child)) is SClass.NotInS:
+                failures += [(g, Move(j, f, t), h) for j in copies for f, t in moves]
+        report.failures += sorted(failures, key=lambda failure: failure[1])
     return report
 
 

@@ -177,14 +177,18 @@ def _successors_match_reference(g: Game) -> None:
 def _children_match_distinct_successors(g: Game) -> None:
     """normalized_children gives the distinct literal standard forms of the
     raw children of g, in first-occurrence `legal_moves` order, none of them
-    twice, each with the first legal move that reaches it."""
+    twice, each with the part of the first legal move that reaches it and
+    every clobber on that part that reaches it, in `legal_moves` order."""
     for player in (BLACK, WHITE):
         got = list(normalized_children(g.parts, player))
         want = {}
         for m in legal_moves(g, player):
             child = normalize_trace(apply_move(g, m))[0].parts
-            want.setdefault(child, (m.part_index, (m.from_index, m.to_index)))
-        assert got == [(*move, child) for child, move in want.items()], (g, player)
+            i, moves = want.setdefault(child, (m.part_index, []))
+            if m.part_index == i:
+                moves.append((m.from_index, m.to_index))
+        assert got == [(i, tuple(moves), child)
+                       for child, (i, moves) in want.items()], (g, player)
 
 
 def test_successors_match_normalize_on_every_small_s_game():

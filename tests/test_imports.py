@@ -71,9 +71,9 @@ def test_a_reference_that_reads_the_fast_path_is_found():
                                        "apply_once: negative"]
 
 
-# Each module and the package modules it may import: the oracle, the ground
-# truth, stands beside the rewriter on `core` alone, the verifier and the
-# command line sit on top, and `python -m linclob` runs the command line.
+# Each module and the package modules it imports, exactly: the oracle, the
+# ground truth, stands beside the rewriter on `core` alone, the verifier and
+# the command line sit on top, and `python -m linclob` runs the command line.
 _LAYERS = {
     "core": set(),
     "asf": {"core"},
@@ -103,9 +103,15 @@ def package_imports(source: str) -> set[str]:
 
 
 def layer_violations(sources: dict[str, str]) -> list[str]:
-    """Each `module imports name` that `_LAYERS` does not allow."""
-    return [f"{module} imports {name}" for module, source in sources.items()
-            for name in sorted(package_imports(source) - _LAYERS[module])]
+    """Each `module imports name` that `_LAYERS` does not allow, and each
+    `module does not import name` that it lists."""
+    found = []
+    for module, source in sources.items():
+        imported, allowed = package_imports(source), _LAYERS[module]
+        found += [f"{module} imports {name}" for name in sorted(imported - allowed)]
+        found += [f"{module} does not import {name}"
+                  for name in sorted(allowed - imported)]
+    return found
 
 
 def test_every_module_imports_only_the_layers_below_it():
@@ -119,7 +125,9 @@ def test_an_import_against_the_layers_is_found():
     sources = {"core": "from .asf import normalize\n",
                "oracle": ("from . import core, taxonomy\n"
                           "import linclob.strategy\n"
-                          "from linclob.core import Game\n")}
+                          "from linclob.core import Game\n"),
+               "asf": "import os\n"}
     assert layer_violations(sources) == ["core imports asf",
                                          "oracle imports strategy",
-                                         "oracle imports taxonomy"]
+                                         "oracle imports taxonomy",
+                                         "asf does not import core"]

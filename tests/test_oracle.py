@@ -1,11 +1,8 @@
-import ast
 import dataclasses
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linclob import oracle
 from linclob.core import (
     BLACK, WHITE, Game, add, apply_move, legal_moves, negate, opponent,
     parse_position,
@@ -159,23 +156,6 @@ def test_equivalent_to_itself_needs_one_solve():
     keys = len(cache.table)
     assert equivalent(g, g, cache)
     assert len(cache.table) == keys
-
-
-def test_oracle_imports_only_core():
-    # the ground truth must not lean on the rewriter, taxonomy or strategy
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level or node.module.split(".")[0] == "linclob"):
-            module = (node.module or "").removeprefix("linclob").lstrip(".")
-            imported.update([module] if module else
-                            [alias.name for alias in node.names])
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.removeprefix("linclob.")
-                            for alias in node.names
-                            if alias.name.split(".")[0] == "linclob")
-    assert imported == {"core"}
 
 
 @given(games)

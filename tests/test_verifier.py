@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from linclob import cli, verifier
+from linclob import asf, cli, verifier
 from linclob.core import (
     BLACK, WHITE, Game, alternating, apply_move, clobbers, legal_moves,
     parse_position,
@@ -228,6 +228,22 @@ def test_theorem_right_reports_every_move_into_a_child_outside_s(monkeypatch, ca
     assert "failures=15" in capsys.readouterr().out
 
 
+def test_theorem_right_reports_failures_in_legal_moves_order(monkeypatch):
+    # planted faults: both Right children of oxoxo in oxoxo + oxoxo are
+    # called NotInS; each copy's moves into them interleave in scan order
+    g = Game(("oxoxo", "oxoxo"))
+    targets = {normalize(apply_move(g, m)).parts for m in legal_moves(g, WHITE)}
+    assert len(targets) == len(part_successors("oxoxo", WHITE)) == 2
+    real = verifier.s_class
+    monkeypatch.setattr(verifier, "enumerate_s_games", lambda *bounds: [g])
+    monkeypatch.setattr(verifier, "s_class",
+                        lambda h: SClass.NotInS if h.parts in targets else real(h))
+    want = [(g, m, h) for m in legal_moves(g, WHITE)
+            if (h := normalize(apply_move(g, m))).parts in targets]
+    assert len(want) == 8
+    assert check_theorem_right().failures == want
+
+
 def test_theorem_right_builds_a_copy_s_children_once(monkeypatch):
     # the second oxoxo leaves the same rest as the first, so its children
     # are not built again; its moves still count, under its own index
@@ -235,8 +251,8 @@ def test_theorem_right_builds_a_copy_s_children_once(monkeypatch):
     assert s_class(g) in (SClass.S1, SClass.S2)
     monkeypatch.setattr(verifier, "enumerate_s_games", lambda *bounds: [g])
     built = []
-    real = verifier.add_form
-    monkeypatch.setattr(verifier, "add_form",
+    real = asf.add_form
+    monkeypatch.setattr(asf, "add_form",
                         lambda rest, form: built.append(form) or real(rest, form))
     report = check_theorem_right()
     assert built == list(part_successors("oxoxo", WHITE))
