@@ -12,13 +12,12 @@ from .oracle import (
     equivalent, outcome, wins_moving_first,
 )
 from .taxonomy import (
-    NotInK, SClass, classify_part, count_vector, enumerate_s_games,
+    SClass, classify_part, count_vector, enumerate_s_games,
     in_K, in_LL, in_Q, in_S0, in_U, in_left_target, k_parts, part_slot,
     s_class,
 )
 from .strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
-    require_scope,
 )
 from .verifier import (
     TheoremReport, VerifyStats, check_asf_soundness, check_conjecture,

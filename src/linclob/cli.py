@@ -22,10 +22,8 @@ from .oracle import (
     DEFAULT_MAX_STONES, MAX_STONES, BudgetExceeded, SolveCache, equivalent,
     outcome,
 )
-from .strategy import (
-    NotInScope, Ruleset, StrategyGap, choose_left_move, require_scope,
-)
-from .taxonomy import classify_part, count_vector, in_LL, in_Q, NotInK, s_class
+from .strategy import NotInScope, Ruleset, StrategyGap, choose_left_move
+from .taxonomy import classify_part, count_vector, in_K, in_LL, in_Q, s_class
 from .verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
     check_theorem_right, check_u_closure, verify_range,
@@ -192,10 +190,12 @@ def _dispatch(args) -> int:
         print(f"normalized={format_game(g, args.format)}")
         for p in g.parts:
             print(f"part={p} classes={','.join(sorted(classify_part(p)))}")
-        try:
-            print("count_vector=" + ",".join(map(str, count_vector(g))))
-        except NotInK as e:
-            print(f"count_vector=undefined part={e.part}")
+        vec = count_vector(g)
+        if vec is None:
+            part = next(p for p in g.parts if not in_K(p))
+            print(f"count_vector=undefined part={part}")
+        else:
+            print("count_vector=" + ",".join(map(str, vec)))
         print(f"s_class={s_class(g).value}")
         print(f"in_q={in_Q(g)}")
         print(f"in_ll={in_LL(g)}")
@@ -211,7 +211,6 @@ def _dispatch(args) -> int:
 
     if args.verb == "best":
         g = normalize(parse_position(args.position, MAX_STONES))
-        require_scope(g)
         sm = choose_left_move(g, Ruleset(args.ruleset))
         print(f"rule={sm.rule_id} part={g.parts[sm.move.part_index]} "
               f"from={sm.move.from_index} to={sm.move.to_index} "

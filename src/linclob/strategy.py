@@ -14,7 +14,8 @@ table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
 against -p, and the rest of a standard-form game is its own form, so the
 child is the form added to the rest of the game (`asf.add_form`).
-`left_child` returns the rule id, that move and the child.
+`left_child` returns the rule id, that move and the child; the typed entry
+point `choose_left_move` first refuses a game outside S0 with NotInScope.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ from .taxonomy import classify_part, in_S0, in_left_target
 
 class NotInScope(ValueError):
     """Game is outside the family the strategy is defined on."""
-
-
-def require_scope(g: Game) -> None:
-    """Raise NotInScope unless g is an S0 game.  The entry points check once
-    here; `left_child` does not, so no search node pays for it."""
-    if not in_S0(g):
-        raise NotInScope(f"{format_game(g, 'short')} is outside the strategy's scope")
 
 
 class StrategyGap(RuntimeError):
@@ -99,9 +93,7 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
     child is inside, the first such move in `legal_moves` order is taken
     instead (rule id suffixed with "-fallback"); with none, the mandated move
     stands.  A game that no row matches, or a row whose form its part cannot
-    reach, raises StrategyGap."""
-    if not parts:
-        raise NotInScope("no moves on the empty game")
+    reach, raises StrategyGap.  No scope check: no search node pays one."""
     row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
     rule_id, part, form = row or _rule_row(parts)
     hits = part_successors(part, BLACK).get(form)
@@ -119,7 +111,11 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
 
 
 def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
-    """`left_child` on g, with its move as a `Move` and its child as a `Game`."""
+    """`left_child` on g, with its move as a `Move` and its child as a `Game`.
+    The rule table is Left's strategy on S0 games only, so a game outside S0
+    (the empty game among them) raises NotInScope."""
+    if not in_S0(g):
+        raise NotInScope(f"{format_game(g, 'short')} is outside the strategy's scope")
     rule_id, move, child = left_child(g.parts, ruleset)
     return StrategyMove(rule_id, Move(*move), Game(child))
 
@@ -214,11 +210,10 @@ def _rule_row(parts: Parts) -> Row:
     row = _WHOLE_GAME_ROWS.get(parts)
     if row is not None:
         return row
-    best = prev = None
-    for p in parts:
-        if p == prev:
+    best = None
+    for i, p in enumerate(parts):
+        if i and p == parts[i - 1]:
             continue
-        prev = p
         for key, row, needs in _part_rows(p):
             for q, n in needs:
                 if parts.count(q) < n:

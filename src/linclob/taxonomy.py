@@ -11,6 +11,8 @@ and `core.shape` the one lookup of the family that holds a part.
 The eight count-vector classes are the specific members that survive
 standard-form reduction: O', oO', oOo', I, {xxo}, {oo8}, A', oA'; the
 table `_CLASSES` states each with its test on a part's family and size.
+A game's count vector is undefined, and `count_vector` None, when some part
+is in none of them.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from typing import Iterator
 
 from .core import SHAPE_FAMILIES, Game, canonical, parse_position, shape, shape_string
 from .asf import normalize
-
-
-class NotInK(ValueError):
-    """A part outside the eight count-vector classes; the vector is undefined."""
-
-    def __init__(self, part: str):
-        super().__init__(f"part {part!r} is not in any count-vector class")
-        self.part = part
 
 
 class SClass(Enum):
@@ -86,13 +80,14 @@ def in_K(part: str) -> bool:
     return part_slot(part) is not None
 
 
-def count_vector(g: Game) -> tuple[int, int, int, int, int, int, int, int]:
-    """Class multiplicities (a,b,c,d,e,f,y,z) of a normalized game."""
+def count_vector(g: Game) -> tuple[int, int, int, int, int, int, int, int] | None:
+    """Class multiplicities (a,b,c,d,e,f,y,z) of a normalized game, or None
+    if some part is in no count-vector class (not `in_K`)."""
     vec = [0] * 8
     for p in g.parts:
         slot = part_slot(p)
         if slot is None:
-            raise NotInK(p)
+            return None
         vec[slot] += 1
     return tuple(vec)  # type: ignore[return-value]
 
@@ -117,12 +112,10 @@ def in_LL(g: Game) -> bool:
 
 def s_class(g: Game) -> SClass:
     """S-family membership from the count vector, Q, and part count."""
-    if not g.parts:
+    vec = count_vector(g)
+    if not g.parts or vec is None:
         return SClass.NotInS
-    try:
-        a, b, c, d, e, f, y, z = count_vector(g)
-    except NotInK:
-        return SClass.NotInS
+    a, b, c, d, e, f, y, z = vec
     if y or z:  # S0 if (y, z) = (1, 0) and a >= c, or (0, 1) and a >= c + 1
         in_s0 = (y == 1 and not z and a >= c) or (z == 1 and not y and a > c)
         return SClass.S0only if in_s0 else SClass.NotInS
@@ -161,7 +154,7 @@ def enumerate_s_games(max_stones: int = 18, max_parts: int = 3) -> Iterator[Game
             g = Game(tuple(sorted(combo)))
             if normalize(g) != g:
                 continue
-            if s_class(g) is not SClass.NotInS:
+            if in_S0(g):
                 yield g
 
 

@@ -12,7 +12,8 @@ node goes to its strategy child; a Right node goes to each of its distinct
 children (`asf.normalized_children`), except in LL, the certified endgames,
 which are leaves.  A start's node counts are the expanded nodes whose mask
 holds its bit.  `check_theorem_right` reads the same Right children, with
-the clobbers that reach each, to name every Right move that fails.
+the clobbers that reach each, to name every Right move that fails, and
+`check_theorem_left` the same Left step (`strategy.left_child`).
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (
-    BLACK, WHITE, Game, Move, alternating, canonical, clobbers, flip, is_monochromatic,
+    BLACK, WHITE, Game, Move, alternating, clobbers, is_monochromatic, negative,
 )
 from .asf import Parts, normalize, normalized_children, potential, rule_table
 from .oracle import (
     DEFAULT_MAX_STONES, MAX_STONES, SolveCache, equivalent, wins_moving_first,
 )
-from .strategy import Ruleset, StrategyGap, choose_left_move, left_child
+from .strategy import Ruleset, StrategyGap, left_child
 from .taxonomy import (
-    SClass, enumerate_s_games, in_LL, in_U, in_left_target, s_class, u_parts,
+    SClass, enumerate_s_games, in_LL, in_S0, in_U, in_left_target, s_class, u_parts,
 )
 
 
@@ -135,24 +136,25 @@ def check_theorem_right(max_stones: int = 18, max_parts: int = 3) -> TheoremRepo
         for i, moves, child in normalized_children(g.parts, WHITE):
             copies = range(i, i + g.parts.count(g.parts[i]))
             report.instances_checked += len(moves) * len(copies)
-            if s_class(h := Game(child)) is SClass.NotInS:
+            if not in_S0(h := Game(child)):
                 failures += [(g, Move(j, f, t), h) for j in copies for f, t in moves]
         report.failures += sorted(failures, key=lambda failure: failure[1])
     return report
 
 
 def check_theorem_left(max_stones: int = 18, max_parts: int = 3) -> TheoremReport:
-    """On every S0 game, the chosen Left move must land in S1, S2, LL, or 0."""
+    """On every S0 game, the chosen Left move must land in S1, S2, LL, or 0.
+    The move is the pass's own (`left_child`), with no scope check."""
     report = TheoremReport("LeftFromS0", 0)
     for g in enumerate_s_games(max_stones, max_parts):
         report.instances_checked += 1
         try:
-            reply = choose_left_move(g)
+            _, move, child = left_child(g.parts)
         except StrategyGap as gap:
             report.failures.append((g, None, str(gap)))
             continue
-        if not in_left_target(reply.result):
-            report.failures.append((g, reply.move, reply.result))
+        if not in_left_target(h := Game(child)):
+            report.failures.append((g, Move(*move), h))
     return report
 
 
@@ -184,7 +186,7 @@ def check_asf_soundness() -> TheoremReport:
         if rule.lhs is None:
             # Pair-cancellation: p + (-p) must be equivalent to 0.
             for p in _BETA_SAMPLES:
-                lhs = Game.of([p, canonical(flip(p))])
+                lhs = Game.of([p, negative(p)])
                 report.instances_checked += 1
                 if not equivalent(lhs, Game(), cache):
                     report.failures.append((rule.name, p))
@@ -214,7 +216,7 @@ def check_u_closure(max_stones: int = 15) -> TheoremReport:
     # same as the first, standing in for play elsewhere in a larger sum).
     reachable: set[str] = set()
     for k in range(2, reach_stones + 4, 2):
-        a = canonical(alternating(k, "o"))
+        a = alternating(k, "o")
         reachable.add(a)
         for pieces in clobbers(a).values():
             reachable.update(pieces)

@@ -568,6 +568,22 @@ def test_readme_states_each_check_cap():
             in paragraph)
 
 
+def test_readme_exit_code_table_names_each_raised_class():
+    # the "raised as" column names exactly the classes of `cli._EXIT_CODES`,
+    # each on its code's row; argparse errors are not classes of the table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [line.strip("|").split("|") for line in readme.splitlines()
+            if re.match(r"\| \d \|", line)]
+    named = {int(code): {name.strip(" `").rpartition(".")[2]
+                         for name in raised.split(",")} - {"", "argparse"}
+             for code, _, raised in rows}
+    want = {code: set() for code in named}
+    for cls, code in cli._EXIT_CODES.items():
+        want.setdefault(code, set()).add(cls.__name__)
+    assert sorted(named) == [0, 1, 2, 3]
+    assert named == want
+
+
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     # each `$ linclob` line's output, compared up to a `...` line
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -10,8 +10,7 @@ from linclob.core import (
 )
 from linclob.asf import normalize, normalize_trace, part_successors
 from linclob.strategy import (
-    NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move,
-    require_scope,
+    NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move, left_child,
 )
 from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target, k_parts
 from linclob.verifier import verify_range
@@ -206,14 +205,17 @@ def test_results_avoid_q():
 
 
 def test_out_of_scope():
-    with pytest.raises(NotInScope):
-        choose_left_move(Game(()))
-    # x5 is a negative part: the entry points' scope check refuses it, and
-    # the table, which no row of matches it, reports a gap
-    with pytest.raises(NotInScope):
-        require_scope(norm("x5"))
+    # the rule table is Left's strategy on S0 games only: rows 1d and 3e
+    # would match a8 + x5 and oo9oo + a4, and none the empty game
+    for g in (norm("x5"), norm("a8 + x5"), norm("oo9oo + a4"), Game(())):
+        for ruleset in Ruleset:
+            with pytest.raises(NotInScope, match="outside the strategy's scope"):
+                choose_left_move(g, ruleset)
+    # x5 is a negative part: no row of the table matches it
     with pytest.raises(StrategyGap, match="no rule matches xoxox"):
-        choose_left_move(norm("x5"))
+        left_child(norm("x5").parts)
+    with pytest.raises(StrategyGap, match="no rule matches -"):
+        left_child(())
 
 
 def test_improved_override_spiral():

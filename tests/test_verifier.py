@@ -5,14 +5,14 @@ import pytest
 
 from linclob import asf, cli, verifier
 from linclob.core import (
-    BLACK, WHITE, Game, alternating, apply_move, clobbers, legal_moves,
-    parse_position,
+    BLACK, WHITE, Game, alternating, apply_move, canonical, clobbers,
+    legal_moves, parse_position,
 )
 from linclob.asf import RewriteRule, normalize, part_successors, rule_table
 from linclob.oracle import OutcomeClass, SolveCache, outcome, wins_moving_first
 from linclob.strategy import Ruleset, left_child
 from linclob.taxonomy import (
-    SClass, enumerate_s_games, in_left_target, s_class, u_parts,
+    SClass, enumerate_s_games, in_S0, in_left_target, s_class, u_parts,
 )
 from linclob.verifier import (
     check_asf_soundness, check_conjecture, check_theorem_left,
@@ -209,14 +209,13 @@ def test_theorem_right_counts_each_right_move():
 
 
 def test_theorem_right_reports_every_move_into_a_child_outside_s(monkeypatch, capsys):
-    # a planted fault: one S0 child of Right's moves is called NotInS.  Right
-    # reaches it twice from each copy of oxoxo in oxoxo + oxoxo.
+    # a planted fault: one S0 child of Right's moves is called outside S.
+    # Right reaches it twice from each copy of oxoxo in oxoxo + oxoxo.
     target = ("ox", "oxoxo")
-    real = verifier.s_class
-    monkeypatch.setattr(verifier, "s_class",
-                        lambda g: SClass.NotInS if g.parts == target else real(g))
+    monkeypatch.setattr(verifier, "in_S0",
+                        lambda g: g.parts != target and in_S0(g))
     want = [(g, m, Game(target)) for g in enumerate_s_games(14, 3)
-            if real(g) in (SClass.S1, SClass.S2)
+            if s_class(g) in (SClass.S1, SClass.S2)
             for m in legal_moves(g, WHITE)
             if normalize(apply_move(g, m)).parts == target]
     assert len(want) == 15
@@ -230,14 +229,13 @@ def test_theorem_right_reports_every_move_into_a_child_outside_s(monkeypatch, ca
 
 def test_theorem_right_reports_failures_in_legal_moves_order(monkeypatch):
     # planted faults: both Right children of oxoxo in oxoxo + oxoxo are
-    # called NotInS; each copy's moves into them interleave in scan order
+    # called outside S; each copy's moves into them interleave in scan order
     g = Game(("oxoxo", "oxoxo"))
     targets = {normalize(apply_move(g, m)).parts for m in legal_moves(g, WHITE)}
     assert len(targets) == len(part_successors("oxoxo", WHITE)) == 2
-    real = verifier.s_class
     monkeypatch.setattr(verifier, "enumerate_s_games", lambda *bounds: [g])
-    monkeypatch.setattr(verifier, "s_class",
-                        lambda h: SClass.NotInS if h.parts in targets else real(h))
+    monkeypatch.setattr(verifier, "in_S0",
+                        lambda h: h.parts not in targets and in_S0(h))
     want = [(g, m, h) for m in legal_moves(g, WHITE)
             if (h := normalize(apply_move(g, m))).parts in targets]
     assert len(want) == 8
@@ -321,7 +319,7 @@ def test_asf_soundness_reports_unsound_rules_by_name(monkeypatch, capsys):
     # only for the self-negative samples ox and oxox
     planted = RewriteRule("planted", frozenset({"oxo"}), ())
     monkeypatch.setattr(verifier, "rule_table", lambda: [*rule_table(), planted])
-    monkeypatch.setattr(verifier, "flip", str)
+    monkeypatch.setattr(verifier, "negative", canonical)
     report = check_asf_soundness()
     assert report.instances_checked == 34
     assert report.failures == [("beta", "xxo"), ("beta", "oxoxo"),
