@@ -3,19 +3,23 @@
 Each rule states a row `(rule id, part, form)`: Left moves on `part` and
 leaves pieces whose standard form is `form`.  The table is data, stated
 once in shorthand: `_WHOLE_GAME_TOKENS` holds the rows stated for one whole
-game, looked up first, `_RULE_TOKENS` every other rule in precedence order,
-so the first row that applies fixes the move, and `_spiral_row` the
-improved ruleset's row.  One cached `_form` resolves every row's tokens:
-the whole-game rows at import (`_WHOLE_GAME_ROWS`), the others when a part
-is first seen (`_part_rows`), the spiral's when it fires.  So `left_child`
-gets every row resolved, and choosing a row normalizes nothing.
+game, looked up first, `_OO8_FAMILY_TOKENS` the rows stated for k >= 2
+copies of oo8 plus a listed rest, looked up next, `_RULE_TOKENS` every
+other rule in precedence order, so the first row that applies fixes the
+move, and `_spiral_row` the improved ruleset's row.  One cached `_form`
+resolves every row's tokens: the whole-game and oo8-family rows at import
+(`_WHOLE_GAME_ROWS`, `_OO8_FAMILY_ROWS`), the others when a part is first
+seen (`_part_rows`), the spiral's when it fires.  So `left_child` gets every
+row resolved, and choosing a row normalizes nothing.
 Left plays the first clobber of the form's entry in the part's Left move
 table (`asf.part_successors`) on the first copy of the part.  The lone part
 is exact for the whole game: `normalize` merges part forms and cancels p
 against -p, and the rest of a standard-form game is its own form, so the
 child is the form added to the rest of the game (`asf.add_form`).
-`left_child` returns the rule id, that move and the child; the typed entry
-point `choose_left_move` first refuses a game outside S0 with NotInScope.
+`left_child` returns the rule id, that move and the child, and checks
+nothing about the child: whether it lies in Left's target is
+`verifier.check_theorem_left`'s question.  The typed entry point
+`choose_left_move` first refuses a game outside S0 with NotInScope.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from functools import lru_cache
 from .core import (
     BLACK, Game, Move, canonical, expand_shorthand, format_game, part_token, shape,
 )
-from .asf import Parts, add_form, normalize, normalized_children, part_successors
-from .taxonomy import classify_part, in_S0, in_left_target
+from .asf import Parts, add_form, normalize, part_successors
+from .taxonomy import classify_part, in_S0
 
 
 class NotInScope(ValueError):
@@ -89,10 +93,7 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
                ) -> tuple[str, tuple[int, int, int], Parts]:
     """The first applicable rule's id (order 1a..7b), its move (part index,
     from, to) on the standard-form `parts` and the standard form of the move's
-    child.  If that child is outside S1 ∪ S2 ∪ LL ∪ {0} but some Left move's
-    child is inside, the first such move in `legal_moves` order is taken
-    instead (rule id suffixed with "-fallback"); with none, the mandated move
-    stands.  A game that no row matches, or a row whose form its part cannot
+    child.  A game that no row matches, or a row whose form its part cannot
     reach, raises StrategyGap.  No scope check: no search node pays one."""
     row = _spiral_row(parts) if ruleset is Ruleset.IMPROVED else None
     rule_id, part, form = row or _rule_row(parts)
@@ -101,13 +102,7 @@ def left_child(parts: Parts, ruleset: Ruleset = Ruleset.BASIC
         raise StrategyGap(f"rule {rule_id}: no Left move on {part_token(part)} "
                           f"reaches {format_game(Game(form), 'short')}")
     i = parts.index(part)
-    move, child = (i, *hits[0]), add_form(parts[:i] + parts[i + 1:], form)
-    if in_left_target(Game(child)):
-        return rule_id, move, child
-    for j, moves, reached in normalized_children(parts, BLACK):
-        if in_left_target(Game(reached)):
-            return rule_id + "-fallback", (j, *moves[0]), reached
-    return rule_id, move, child
+    return rule_id, (i, *hits[0]), add_form(parts[:i] + parts[i + 1:], form)
 
 
 def choose_left_move(g: Game, ruleset: Ruleset = Ruleset.BASIC) -> StrategyMove:
@@ -132,6 +127,20 @@ _WHOLE_GAME_TOKENS = {
 }
 _WHOLE_GAME_ROWS: dict[Parts, Row] = {_form(*game): (r, _part(p), _form(*t))
                                       for game, (r, p, t) in _WHOLE_GAME_TOKENS.items()}
+
+# Rows stated for a family of whole games: k >= 2 copies of oo8 plus one
+# listed rest and nothing else, in shorthand: the rest's tokens, then the
+# row's rule id and tokens.  Left moves on the first oo8, and the a2 of its
+# pieces cancels the rest's a2: the child is (k-1)·oo8 + o5 [+ a4], in S1.
+# The table's own rows 5j and 5g would leave k·oo8, outside S1 ∪ S2 ∪ LL ∪
+# {0}; the ids end in "-fallback" because these rows are not the paper's.
+_OO8_FAMILY_TOKENS = {
+    ("a2",): ("5j-fallback", ("o5", "a2")),
+    ("a4", "a2"): ("5g-fallback", ("o5", "a2")),
+}
+_OO8 = _part("oo8")
+_OO8_FAMILY_ROWS: dict[Parts, Row] = {_form(*rest): (r, _OO8, _form(*t))
+                                      for rest, (r, t) in _OO8_FAMILY_TOKENS.items()}
 
 # Every other rule, in precedence order: the first row that applies fixes
 # Left's move.  A fixed row (rule id, parts g must hold, part, tokens)
@@ -206,8 +215,11 @@ def _part_rows(part: str) -> tuple[tuple[tuple[int, int, str], Row, tuple], ...]
 
 def _rule_row(parts: Parts) -> Row:
     """The row of the first applicable rule (order 1a..7b): a whole-game row,
-    else of each distinct part's first row whose needs hold, the least key."""
+    else an oo8-family row, else of each distinct part's first row whose
+    needs hold, the least key."""
     row = _WHOLE_GAME_ROWS.get(parts)
+    if row is None and parts.count(_OO8) > 1:
+        row = _OO8_FAMILY_ROWS.get(tuple(p for p in parts if p != _OO8))
     if row is not None:
         return row
     best = None

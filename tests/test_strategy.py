@@ -13,7 +13,7 @@ from linclob.strategy import (
     NotInScope, Ruleset, StrategyGap, StrategyMove, choose_left_move, left_child,
 )
 from linclob.taxonomy import classify_part, enumerate_s_games, in_left_target, k_parts
-from linclob.verifier import verify_range
+from linclob.verifier import check_theorem_left, verify_range
 
 
 def norm(text: str) -> Game:
@@ -149,10 +149,25 @@ def test_corollary_openers_resolve_through_normalization():
     assert sm.result == Game(())
 
 
-def test_target_fallback_when_mandated_row_misses():
-    sm = pick("oo8 + oo8 + a2")
-    assert sm.rule_id == "5j-fallback"
-    assert in_left_target(sm.result)
+def test_oo8_family_rows():
+    # on k >= 2 copies of oo8 plus a2, or plus a4 + a2, rows 5j and 5g would
+    # leave k·oo8, outside the target; the family's rows move the first oo8
+    # to o5 + a2, whose a2 cancels the game's a2
+    oo8 = literal_part("oo8")
+    for k in range(2, 6):
+        for rule_id, rest in (("5j-fallback", ["a2"]), ("5g-fallback", ["a4", "a2"])):
+            g = norm(" + ".join(["oo8"] * k + rest))
+            sm = choose_left_move(g)
+            assert sm.rule_id == rule_id, g
+            # x at 3 clobbers o at 2 on the first oo8: ox + oxoxo is a2 + o5
+            assert g.parts[0] == oo8 and sm.move == Move(0, 3, 2), g
+            assert sm.result == norm(" + ".join(["oo8"] * (k - 1) + ["o5"] + rest[:-1])), g
+            assert in_left_target(sm.result), g
+    # a neighbouring game keeps the table's own row
+    for text, rule_id in (("oo8 + a2", "5j"), ("oo8 + oo8 + a4", "5i"),
+                          ("oo8 + oo8 + a2 + xxo", "5j"),
+                          ("oo8 + oo8 + o5 + a2", "5j")):
+        assert pick(text).rule_id == rule_id, text
 
 
 def test_known_target_gap_keeps_mandated_move():
@@ -281,9 +296,20 @@ def _whole_game_search(g: Game, rule_id: str, part: str,
 
 def literal_rule_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
     """The row of the first applicable rule by the literal scan of the
-    shorthand tables: the whole-game rows, then every row of `_RULE_TOKENS`
-    in order, each form by the literal rewriter; the reference for the
-    per-part lookup of `strategy._rule_row`."""
+    shorthand tables: the oo8-family rows, then the paper's table
+    (`literal_table_row`); the reference for the lookup of
+    `strategy._rule_row`."""
+    oo8s = g.parts.count(literal_part("oo8"))
+    for rest, (rule_id, tokens) in strategy._OO8_FAMILY_TOKENS.items():
+        if oo8s >= 2 and literal_form(("oo8",) * oo8s + rest) == g.parts:
+            return literal_row(rule_id, "oo8", *tokens)
+    return literal_table_row(g)
+
+
+def literal_table_row(g: Game) -> tuple[str, str, tuple[str, ...]]:
+    """The row of the first applicable rule of the paper's table by the
+    literal scan of its shorthand: the whole-game rows, then every row of
+    `_RULE_TOKENS` in order, each form by the literal rewriter."""
     for game, (rule_id, part, tokens) in strategy._WHOLE_GAME_TOKENS.items():
         if literal_form(game) == g.parts:
             return literal_row(rule_id, part, *tokens)
@@ -329,8 +355,12 @@ def test_row_lookup_matches_the_literal_scan(monkeypatch):
 
 
 def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
+    """The move of the paper's table by the literal search over the whole
+    game; where its child misses the target, the first Left move in
+    `legal_moves` order whose child hits it, with the rule id suffixed
+    "-fallback"; with none, the table's move."""
     spiral = literal_spiral_row(g.parts) if ruleset is Ruleset.IMPROVED else None
-    row = spiral or literal_rule_row(g)
+    row = spiral or literal_table_row(g)
     chosen = _whole_game_search(g, *row)
     assert chosen is not None, g
     if in_left_target(chosen.result):
@@ -344,24 +374,31 @@ def _reference_move(g: Game, ruleset: Ruleset) -> StrategyMove:
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
 def test_rows_match_the_whole_game_search(ruleset):
+    # the table's move where it hits the target, else the first move that
+    # does: the oo8-family rows play exactly that move, and the table's move
+    # stands where none hits (oo12 + a4)
     games = list(enumerate_s_games(24, 4))
     assert len(games) == 1143
     for g in games:
         assert choose_left_move(g, ruleset) == _reference_move(g, ruleset), g
 
 
-def test_fallback_moves_match_the_whole_game_search(rule_rows):
+def test_planted_row_gaps_show_in_theorem_left(rule_rows):
     # with 5j's a2 -> 0 planted first, a game holding a2 often leaves the
-    # target, and the fallback's move is on a later part or the first of
-    # several clobbers that leave one form
+    # target; the planted move stands, and the theorem check reports each
+    # game it sends outside the target, besides the known gap oo12 + a4.
+    # The oo8-family rows come before it, on 2·oo8 + a2 and 2·oo8 + a4 + a2.
     rule_rows((("planted", ("a2",), "a2", ()),) + strategy._RULE_TOKENS)
     games = list(enumerate_s_games(24, 4))
     moves = [choose_left_move(g) for g in games]
-    fallbacks = [sm.move for sm in moves if sm.rule_id == "planted-fallback"]
-    assert len(fallbacks) == 238
-    assert sum(m.part_index > 0 for m in fallbacks) == 105
     for g, sm in zip(games, moves):
-        assert sm == _reference_move(g, Ruleset.BASIC), g
+        assert sm == _whole_game_search(g, *literal_rule_row(g)), g
+    assert sum(sm.rule_id == "planted" for sm in moves) == 368
+    missed = [(g, sm) for g, sm in zip(games, moves) if not in_left_target(sm.result)]
+    assert Counter(sm.rule_id for _, sm in missed) == {"planted": 236, "4b": 1}
+    report = check_theorem_left(24, 4)
+    assert report.instances_checked == len(games)
+    assert report.failures == [(g, sm.move, sm.result) for g, sm in missed]
 
 
 def test_row_no_move_realizes_is_a_gap(rule_rows, capsys):

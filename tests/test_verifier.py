@@ -270,8 +270,10 @@ def test_theorem_left_reports_a_strategy_gap(drop_rule_row):
 
 
 def test_theorem_left_full_bound_has_single_known_gap():
-    report = check_theorem_left(18, 3)
-    assert report.instances_checked > 200
+    # the bounds hold k·oo8 + a2 for k = 2..4 and k·oo8 + a4 + a2 for
+    # k = 2, 3, the games of the oo8-family rows
+    report = check_theorem_left(34, 6)
+    assert report.instances_checked == 11962
     offenders = {g.parts for g, _, _ in report.failures}
     assert offenders == {normalize(parse_position("oo12 + a4")).parts}
 
